@@ -68,10 +68,20 @@ void ThreadPool::run_batch(const std::function<void(u32)>& task, u32 count, u32 
   // Coarsen tiny chunks: cap the total number of claims at ~8 per lane so
   // huge batches of cheap bodies are not serialized on the claim counter.
   batch.grain = std::max(grain, count / (8 * lanes()));
+  bool slot_taken = false;
   {
     std::lock_guard lock(mu_);
-    batch_ = &batch;
-    ++batch_epoch_;
+    slot_taken = batch_ != nullptr;
+    if (!slot_taken) {
+      batch_ = &batch;
+      ++batch_epoch_;
+    }
+  }
+  // One batch slot: a second external caller drains its own batch
+  // inline instead of taking the slot from the first.
+  if (slot_taken) {
+    for (u32 i = 0; i < count; ++i) task(i);
+    return;
   }
   cv_work_.notify_all();
 
@@ -102,8 +112,14 @@ void ThreadPool::worker_loop() {
       batch->refs.fetch_add(1, std::memory_order_acq_rel);
     }
     drain_batch(*batch);
-    batch->refs.fetch_sub(1, std::memory_order_acq_rel);
-    cv_done_.notify_one();
+    {
+      // Under mu_: the caller's wait predicate reads refs under mu_, so
+      // an unlocked decrement could land between its check and its
+      // sleep and the wakeup would be lost.
+      std::lock_guard lock(mu_);
+      batch->refs.fetch_sub(1, std::memory_order_acq_rel);
+    }
+    cv_done_.notify_all();
   }
 }
 

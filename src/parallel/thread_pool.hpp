@@ -41,6 +41,8 @@ class ThreadPool {
   /// when all have completed. Reentrant calls run everything inline, and
   /// so does any batch with count <= grain: waking workers for one chunk
   /// is pure overhead, the caller would claim the whole range anyway.
+  /// The pool runs one batch at a time: an external caller that arrives
+  /// while another thread's batch is running drains its own inline.
   ///
   /// `grain` is the number of consecutive indices claimed per fetch_add.
   /// It is a floor, not a schedule: the pool additionally coarsens tiny

@@ -52,7 +52,7 @@ void ShardedPimStore::revive_shard(u32 slot) {
     // A rebuild that was replacing this member is moot now.
     abort_repair_for(slot);
     ReplicaGroup& g = groups_[s.group];
-    std::map<Key, Value> contents = replay_log(g);
+    Pairs contents = replay_log(g);
     restore_into(slot, contents);
     g.checkpoint = std::move(contents);
     g.journal.clear();
@@ -102,7 +102,7 @@ Status ShardedPimStore::failover(u32 slot) {
     return Status(StatusCode::kInvalidArgument, "no spare shard available");
   }
   ReplicaGroup& g = groups_[gi];
-  std::map<Key, Value> contents = replay_log(g);
+  Pairs contents = replay_log(g);
   restore_into(spare, contents);
   Shard& fresh = slots_[spare];
   fresh.state = ShardState::kLive;

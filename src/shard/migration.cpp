@@ -128,7 +128,6 @@ Status ShardedPimStore::migration_step() {
         observe_shard_health(m.target, true);
         return e.status();
       }
-      for (const auto& kv : pairs) m.staged[kv.first] = kv.second;
       m.copied += pairs.size();
       m.cursor = end;
       if (m.cursor >= m.plan_keys.size()) m.copy_done = true;
@@ -172,27 +171,24 @@ void ShardedPimStore::finish_migration() {
       observe_shard_health(m.target, true);
       throw;  // migration stays active; the next step resumes the drain
     }
-    apply_record(m.staged, rec);
     ++m.delta_applied;
   }
 
   // The copy pass read ONE live member's structure, which may have
   // carried a refused (kNoQuorum) write awaiting anti-entropy rollback
   // or missed an acked one; and the target's own application can lag
-  // `staged` after per-key faults. Cutover moves OWNERSHIP AND
-  // DURABILITY (staged becomes the carved group's checkpoint), so only
-  // the acked state may cross: reconcile staged against the source
-  // journal's replay restricted to the moving range, and rebuild the
-  // target offline when its contents disagree with that.
-  {
-    const std::map<Key, Value> replay = replay_log(groups_[m.group]);
-    std::map<Key, Value> want(replay.lower_bound(m.lo), replay.lower_bound(m.hi));
-    const u64 want_digest = core::PimSkipList::pairs_digest(
-        std::vector<std::pair<Key, Value>>(want.begin(), want.end()));
-    if (m.staged != want) m.staged = std::move(want);
-    if (tgt.list->contents_digest() != want_digest) {
-      restore_into(m.target, m.staged);
-    }
+  // after per-key faults. Cutover moves OWNERSHIP AND DURABILITY, so
+  // only the acked state may cross: the source journal's replay splits
+  // at the cut into the carved group's checkpoint and the source's, and
+  // the target is rebuilt offline when its contents disagree.
+  const Pairs replay = replay_log(groups_[m.group]);
+  const auto key_at = [&](Key k) {
+    return std::ranges::lower_bound(replay, k, {}, &Pairs::value_type::first);
+  };
+  const auto cut = key_at(m.lo);
+  Pairs moved_pairs(cut, key_at(m.hi));
+  if (tgt.list->contents_digest() != core::PimSkipList::pairs_digest(moved_pairs)) {
+    restore_into(m.target, moved_pairs);
   }
 
   // ---- atomic cutover (caller thread, no PIM rounds in between) ----
@@ -218,16 +214,17 @@ void ShardedPimStore::finish_migration() {
   carved.lo = done.lo;
   carved.hi = done.hi;
   carved.members.push_back(target);
-  carved.checkpoint = done.staged;
+  std::vector<Key> moved;
+  moved.reserve(moved_pairs.size());
+  for (const auto& [k, v] : moved_pairs) moved.push_back(k);
+  carved.checkpoint = std::move(moved_pairs);
 
   // Durability handoff: the moved range leaves the source group's
   // journal and becomes the carved group's checkpoint.
   {
     ReplicaGroup& src = groups_[done.group];
     src.hi = done.lo;
-    std::map<Key, Value> retained = replay_log(src);
-    retained.erase(retained.lower_bound(done.lo), retained.end());
-    src.checkpoint = std::move(retained);
+    src.checkpoint.assign(replay.begin(), cut);
     src.journal.clear();
     // Shrinking the owned range is a configuration change: late acks
     // and movements planned against the pre-cutover range are fenced.
@@ -244,9 +241,6 @@ void ShardedPimStore::finish_migration() {
   // On a machine fault, fall back to rebuilding that member from the
   // (already rewritten) group checkpoint — offline, cannot fail, same
   // contents.
-  std::vector<Key> moved;
-  moved.reserve(done.staged.size());
-  for (const auto& [k, v] : done.staged) moved.push_back(k);
   for (const u32 member : groups_[done.group].members) {
     Shard& ms = slots_[member];
     ms.lo = groups_[done.group].lo;

@@ -72,20 +72,17 @@ AntiEntropyReport ShardedPimStore::anti_entropy_step(u32 max_groups) {
     ReplicaGroup& g = groups_[gi];
     ++rep.groups_audited;
     rep.audited_groups.push_back(gi);
-    const std::map<Key, Value> expected_map = replay_log(g);
-    const u64 want = core::PimSkipList::pairs_digest(
-        std::vector<std::pair<Key, Value>>(expected_map.begin(),
-                                           expected_map.end()));
+    const Pairs expected = replay_log(g);
+    const u64 want = core::PimSkipList::pairs_digest(expected);
     for (const u32 slot : g.members) {
-      converge_member(gi, slot, expected_map, want, &rep);
+      converge_member(gi, slot, expected, want, &rep);
     }
     g.dirty = false;
   }
   return rep;
 }
 
-bool ShardedPimStore::converge_member(u32 group, u32 slot,
-                                      const std::map<Key, Value>& want_map,
+bool ShardedPimStore::converge_member(u32 group, u32 slot, const Pairs& expected,
                                       u64 want_digest, AntiEntropyReport* rep) {
   (void)group;
   Shard& s = slots_[slot];
@@ -95,8 +92,6 @@ bool ShardedPimStore::converge_member(u32 group, u32 slot,
   // Two-pointer diff of the member's offline contents against the
   // authoritative replay: extra keys die, missing/stale keys are
   // re-upserted.
-  const std::vector<std::pair<Key, Value>> expected(want_map.begin(),
-                                                    want_map.end());
   const auto have = s.list->contents_offline();
   std::vector<Key> dels;
   std::vector<std::pair<Key, Value>> ups;
@@ -129,7 +124,7 @@ bool ShardedPimStore::converge_member(u32 group, u32 slot,
     if (!rebuild && s.list->contents_digest() != want_digest) rebuild = true;
   }
   if (rebuild && slots_[slot].state == ShardState::kLive) {
-    restore_into(slot, want_map);
+    restore_into(slot, expected);
     if (rep != nullptr) ++rep->rebuilds;
   }
   return true;
@@ -249,7 +244,6 @@ Status ShardedPimStore::repair_step() {
         observe_shard_health(r.target, true);
         return e.status();
       }
-      for (const auto& kv : pairs) r.staged[kv.first] = kv.second;
       r.copied += pairs.size();
       r.cursor = end;
       if (r.cursor >= r.plan_keys.size()) r.copy_done = true;
@@ -300,14 +294,9 @@ void ShardedPimStore::finish_repair() {
   // anti-entropy rollback. The journal replay is authoritative:
   // digest-check the rebuilt member and rebuild it offline on mismatch,
   // so an install can never make an unacked write servable again.
-  {
-    const ReplicaGroup& g = groups_[r.group];
-    const std::map<Key, Value> want = replay_log(g);
-    const u64 want_digest = core::PimSkipList::pairs_digest(
-        std::vector<std::pair<Key, Value>>(want.begin(), want.end()));
-    if (tgt.list->contents_digest() != want_digest) {
-      restore_into(r.target, want);
-    }
+  const Pairs want = replay_log(groups_[r.group]);
+  if (tgt.list->contents_digest() != core::PimSkipList::pairs_digest(want)) {
+    restore_into(r.target, want);
   }
 
   // ---- install (caller thread, atomic with respect to batches) ----

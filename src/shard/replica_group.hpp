@@ -27,7 +27,8 @@
 #pragma once
 
 #include <limits>
-#include <map>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "common/types.hpp"
@@ -37,6 +38,10 @@ namespace pim::shard {
 inline constexpr u32 kNoGroup = std::numeric_limits<u32>::max();
 inline constexpr u32 kNoSlot = std::numeric_limits<u32>::max();
 
+/// Key-sorted, key-unique (key, value) pairs: a group checkpoint or a
+/// journal replay, in the format PimSkipList::build and pairs_digest take.
+using Pairs = std::vector<std::pair<Key, Value>>;
+
 /// One acked-writes journal record (batch semantics: first occurrence of
 /// a key wins within a record, records replay in order).
 struct LogRecord {
@@ -45,6 +50,12 @@ struct LogRecord {
   std::vector<std::pair<Key, Value>> ops;  // upsert / update payload
   std::vector<Key> keys;                   // delete payload
 };
+
+/// Replays `records` in order over `checkpoint` and returns the result
+/// (first occurrence of a key wins within a record, the later record
+/// wins across records). One sort of the records' per-key effects by
+/// (key, record, position), then one merge with the checkpoint.
+Pairs fold_records(const Pairs& checkpoint, std::span<const LogRecord> records);
 
 /// A replication group: R slots serving one key range [lo, hi).
 struct ReplicaGroup {
@@ -59,7 +70,7 @@ struct ReplicaGroup {
   u32 primary = 0;
   /// Group-level durability (CPU-side, survives any subset of members):
   /// contents at build / last compaction plus acked writes since.
-  std::map<Key, Value> checkpoint;
+  Pairs checkpoint;
   std::vector<LogRecord> journal;
   /// Set when live members disagreed on an ack (one committed a write
   /// another missed): the anti-entropy audit visits dirty groups first.

@@ -6,7 +6,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <set>
 #include <string>
 #include <type_traits>
 
@@ -31,7 +30,6 @@ Status validate_shard_options(const ShardOptions& opts) {
   if (opts.spares + opts.shards < opts.replication) {
     return bad("spares + shards must be >= replication (a group must be buildable)");
   }
-  if (opts.journal_compact_limit == 0) return bad("journal_compact_limit must be > 0");
   if (opts.migration_chunk == 0) return bad("migration_chunk must be > 0");
   if (opts.domain_hi <= opts.domain_lo) return bad("empty key domain");
   if (static_cast<u64>(opts.domain_hi - opts.domain_lo) / opts.shards < 1) {
@@ -98,38 +96,58 @@ void ShardedPimStore::provision(u32 slot) {
 
 // ---------------- group-level journal ----------------
 
-void ShardedPimStore::apply_record(std::map<Key, Value>& m, const LogRecord& r) {
-  // Batch semantics, replayed: first occurrence wins within one record
-  // (matching the per-shard batch contracts), records in order.
-  switch (r.kind) {
-    case LogRecord::kUpsert: {
-      std::set<Key> seen;
-      for (const auto& [k, v] : r.ops) {
-        if (seen.insert(k).second) m[k] = v;
-      }
-      break;
-    }
-    case LogRecord::kUpdate: {
-      std::set<Key> seen;
-      for (const auto& [k, v] : r.ops) {
-        if (seen.insert(k).second && m.contains(k)) m[k] = v;
-      }
-      break;
-    }
-    case LogRecord::kDelete:
-      for (const Key k : r.keys) m.erase(k);
-      break;
+Pairs fold_records(const Pairs& checkpoint, std::span<const LogRecord> records) {
+  // One effect per journaled op. `seq` counts along the journal, so
+  // sorting by (key, seq) lines each key's effects up in replay order.
+  struct Effect {
+    Key key;
+    u64 seq;
+    u32 rec;
+    Value value;
+  };
+  std::vector<Effect> effects;
+  u64 seq = 0;
+  for (u32 ri = 0; ri < records.size(); ++ri) {
+    for (const auto& [k, v] : records[ri].ops) effects.push_back({k, seq++, ri, v});
+    for (const Key k : records[ri].keys) effects.push_back({k, seq++, ri, 0});
   }
+  std::sort(effects.begin(), effects.end(), [](const Effect& a, const Effect& b) {
+    return a.key != b.key ? a.key < b.key : a.seq < b.seq;
+  });
+
+  Pairs out;
+  out.reserve(checkpoint.size() + effects.size());
+  auto base = checkpoint.begin();
+  for (u64 i = 0; i < effects.size();) {
+    const Key k = effects[i].key;
+    while (base != checkpoint.end() && base->first < k) out.push_back(*base++);
+    bool present = base != checkpoint.end() && base->first == k;
+    Value v = present ? base->second : 0;
+    if (present) ++base;
+    for (const u64 first = i; i < effects.size() && effects[i].key == k; ++i) {
+      const Effect& e = effects[i];
+      // First occurrence wins within a record.
+      if (i > first && effects[i - 1].rec == e.rec) continue;
+      const LogRecord::Kind kind = records[e.rec].kind;
+      if (kind == LogRecord::kDelete) {
+        present = false;
+      } else if (kind == LogRecord::kUpsert || present) {  // update: present keys only
+        present = true;
+        v = e.value;
+      }
+    }
+    if (present) out.emplace_back(k, v);
+  }
+  out.insert(out.end(), base, checkpoint.end());
+  return out;
 }
 
-std::map<Key, Value> ShardedPimStore::replay_log(const ReplicaGroup& g) const {
-  std::map<Key, Value> m = g.checkpoint;
-  for (const LogRecord& r : g.journal) apply_record(m, r);
-  return m;
+Pairs ShardedPimStore::replay_log(const ReplicaGroup& g) const {
+  return fold_records(g.checkpoint, g.journal);
 }
 
 void ShardedPimStore::maybe_compact_journal(ReplicaGroup& g) {
-  if (g.journal.size() <= opts_.journal_compact_limit) return;
+  if (g.journal.size() <= kJournalCompactLimit) return;
   g.checkpoint = replay_log(g);
   g.journal.clear();
 }
@@ -169,11 +187,9 @@ bool ShardedPimStore::journal_acked(u32 group, u64 epoch, LogRecord record) {
   return true;
 }
 
-void ShardedPimStore::restore_into(u32 slot, const std::map<Key, Value>& contents) {
+void ShardedPimStore::restore_into(u32 slot, const Pairs& contents) {
   provision(slot);
-  Shard& s = slots_[slot];
-  std::vector<std::pair<Key, Value>> sorted(contents.begin(), contents.end());
-  s.list->build(sorted);
+  slots_[slot].list->build(contents);
 }
 
 // ---------------- routing ----------------
@@ -223,10 +239,8 @@ u32 ShardedPimStore::serving_member(u32 group, u32 tried) {
     // serving from it: a retargeted or demoted-onto member can otherwise
     // answer with a value older than one the caller already observed
     // from the previous primary — breaking per-key monotonic reads.
-    const std::map<Key, Value> want = replay_log(groups_[group]);
-    const u64 want_digest = core::PimSkipList::pairs_digest(
-        std::vector<std::pair<Key, Value>>(want.begin(), want.end()));
-    converge_member(group, slot, want, want_digest, nullptr);
+    const Pairs want = replay_log(groups_[group]);
+    converge_member(group, slot, want, core::PimSkipList::pairs_digest(want), nullptr);
     if (slots_[slot].state == ShardState::kLive) return slot;
     // Convergence tripped the member's breaker; pick the next live one.
   }
@@ -325,7 +339,7 @@ void ShardedPimStore::build(std::span<const std::pair<Key, Value>> sorted_unique
       PIM_CHECK(s.state == ShardState::kLive, "build routed keys to a non-live shard");
       s.list->build(per_group[gi]);
     }
-    g.checkpoint.insert(per_group[gi].begin(), per_group[gi].end());
+    g.checkpoint = std::move(per_group[gi]);
     g.journal.clear();
   }
 }
@@ -523,13 +537,14 @@ std::vector<ShardedPimStore::GetResult> ShardedPimStore::quorum_batch_get(
       for (u64 pos : j.positions) out[pos] = GetResult{fenced};
       continue;
     }
-    std::optional<std::map<Key, Value>> replay;
+    std::optional<Pairs> replay;
     auto resolve = [&](u64 pos, Key k) {
       if (!replay.has_value()) replay = replay_log(g);
       ++quorum_read_resolves_;
-      auto it = replay->find(k);
-      out[pos] = it == replay->end() ? GetResult{Status{}, false, 0}
-                                     : GetResult{Status{}, true, it->second};
+      auto it = std::ranges::lower_bound(*replay, k, {}, &Pairs::value_type::first);
+      out[pos] = it == replay->end() || it->first != k
+                     ? GetResult{Status{}, false, 0}
+                     : GetResult{Status{}, true, it->second};
     };
     if (j.resolve_all) {
       for (u64 pos : j.positions) resolve(pos, keys[pos]);
@@ -808,9 +823,7 @@ u64 ShardedPimStore::member_digest(u32 slot) const {
 }
 
 u64 ShardedPimStore::group_expected_digest(u32 group) const {
-  const std::map<Key, Value> expected = replay_log(groups_[group]);
-  return core::PimSkipList::pairs_digest(
-      std::vector<std::pair<Key, Value>>(expected.begin(), expected.end()));
+  return core::PimSkipList::pairs_digest(replay_log(groups_[group]));
 }
 
 u32 ShardedPimStore::free_spares() const {

@@ -35,8 +35,9 @@
 //    as a chaos API.
 //
 //  * Failover: every acknowledged write is journaled at the GROUP level
-//    (checkpoint + ordered batch records, exactly the PimSkipList
-//    journal design one level up). With R > 1 the journal is a backstop:
+//    (a key-sorted checkpoint + ordered batch records, folded into the
+//    checkpoint by one sort-merge every kJournalCompactLimit records).
+//    With R > 1 the journal is a backstop:
 //    a surviving replica keeps serving and repair rebuilds the dead
 //    member from the live one. Journal replay into a spare — failover(s)
 //    — is the last-resort path for R = 1 or a whole dead group;
@@ -68,7 +69,6 @@
 // threads are expected to share.
 #pragma once
 
-#include <map>
 #include <optional>
 #include <span>
 #include <utility>
@@ -130,9 +130,6 @@ struct ShardOptions {
   core::PimSkipList::Options list_options{};
   /// Target keys copied per migration_step() / repair_step() chunk.
   u64 migration_chunk = 256;
-  /// Group-journal records before compaction into the checkpoint (the
-  /// group-level kJournalCompactLimit).
-  u64 journal_compact_limit = 64;
   /// Consecutive escaped sub-batch failures before a shard is declared
   /// dead (the shard-level circuit breaker).
   u32 shard_breaker_strikes = 2;
@@ -163,9 +160,9 @@ struct ShardOptions {
 /// kInvalidArgument before any machine is provisioned: shards >= 1,
 /// modules_per_shard >= 1, replication >= 1, write_quorum in
 /// [1, replication], spares + shards >= replication, a non-empty key
-/// domain wide enough for the shard count, migration_chunk > 0 and
-/// journal_compact_limit > 0. The ShardedPimStore constructor throws
-/// StatusError carrying the same status.
+/// domain wide enough for the shard count and migration_chunk > 0. The
+/// ShardedPimStore constructor throws StatusError carrying the same
+/// status.
 Status validate_shard_options(const ShardOptions& opts);
 
 class ShardedPimStore {
@@ -432,13 +429,6 @@ class ShardedPimStore {
   const sim::Machine* shard_machine(u32 slot) const {
     return slots_[slot].machine.get();
   }
-  /// Group-journal records currently buffered for a slot's group (0 for
-  /// spares / decommissioned slots).
-  u64 journal_records(u32 slot) const {
-    const u32 g = slots_[slot].group;
-    return g == kNoGroup ? 0 : groups_[g].journal.size();
-  }
-
   u32 group_count() const { return static_cast<u32>(groups_.size()); }
   /// The configuration the store was built with (policy loops read
   /// modules_per_shard to normalize per-member cost observations).
@@ -458,7 +448,11 @@ class ShardedPimStore {
   u32 group_live_members(u32 group) const;
   /// Every member live and the group at full strength R.
   bool group_fully_replicated(u32 group) const;
+  /// Group-journal records since the last compaction; the record that
+  /// takes the journal past kJournalCompactLimit folds it into the
+  /// checkpoint.
   u64 group_journal_records(u32 group) const { return groups_[group].journal.size(); }
+  static constexpr u64 kJournalCompactLimit = 64;
   /// Content digest of one live member's structure (offline walk).
   u64 member_digest(u32 slot) const;
   /// Digest of the group journal's replay — what every member should
@@ -470,8 +464,6 @@ class ShardedPimStore {
   void check_invariants() const;
 
  private:
-  static void apply_record(std::map<Key, Value>& m, const LogRecord& r);
-
   struct Shard {
     ShardState state = ShardState::kSpare;
     u32 group = kNoGroup;  // owning group (kNoGroup: spare/decommissioned)
@@ -493,7 +485,7 @@ class ShardedPimStore {
 
   // ----- provisioning / replay -----
   void provision(u32 slot);  // fresh Machine + empty PimSkipList
-  std::map<Key, Value> replay_log(const ReplicaGroup& g) const;
+  Pairs replay_log(const ReplicaGroup& g) const;
   void maybe_compact_journal(ReplicaGroup& g);
   /// Appends an acked-writes record to the group journal (and, when the
   /// group is a migration source or under repair, the relevant subset to
@@ -505,7 +497,7 @@ class ShardedPimStore {
   /// Rebuilds a slot's machine+list from contents (failover / revive /
   /// anti-entropy escalation). Group journal state is the caller's
   /// business.
-  void restore_into(u32 slot, const std::map<Key, Value>& contents);
+  void restore_into(u32 slot, const Pairs& contents);
 
   // ----- routing / dispatch -----
   u32 route_index(Key key) const;  // index into routes_
@@ -525,8 +517,8 @@ class ShardedPimStore {
   /// replay and read-repairs (or rebuilds) it in place. Returns true
   /// when the member was divergent. Reports into `rep` when non-null
   /// (the anti-entropy audit shares this path).
-  bool converge_member(u32 group, u32 slot, const std::map<Key, Value>& want,
-                       u64 want_digest, AntiEntropyReport* rep);
+  bool converge_member(u32 group, u32 slot, const Pairs& expected, u64 want_digest,
+                       AntiEntropyReport* rep);
   /// Epoch a dispatch to `group` should capture right now (the group's
   /// fence_epoch, aged by the zombie test hook when armed).
   u64 dispatch_epoch(u32 group);
@@ -567,7 +559,6 @@ class ShardedPimStore {
     u64 cursor = 0;              // next index into plan_keys
     bool copy_done = false;
     u64 copied = 0;
-    std::map<Key, Value> staged;     // target contents shadow
     std::vector<LogRecord> delta;    // acked writes into [lo, hi) since start
     u64 delta_applied = 0;           // drain cursor (resumable after faults)
     u64 start_epoch = 0;  // source group's fence_epoch at start; any bump
@@ -583,7 +574,6 @@ class ShardedPimStore {
     u64 cursor = 0;
     bool copy_done = false;
     u64 copied = 0;
-    std::map<Key, Value> staged;
     std::vector<LogRecord> delta;  // acked group writes since start
     u64 delta_applied = 0;
     u64 start_epoch = 0;  // group's fence_epoch at start (see MigrationState)

@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "parallel/cost_model.hpp"
@@ -35,6 +36,31 @@ TEST(ThreadPool, ZeroTasksIsANoop) {
   ThreadPool pool(2);
   const std::function<void(u32)> task = [](u32) { FAIL(); };
   pool.run_batch(task, 0);
+}
+
+TEST(ThreadPool, ConcurrentExternalCallersEachCompleteTheirBatches) {
+  // Four external threads share one pool of 3 workers. The pool runs one
+  // batch at a time; a caller that finds it busy drains its own batch
+  // inline. Every batch must still sum exactly, and no caller may sleep
+  // through the completion of its own batch.
+  ThreadPool pool(3);
+  constexpr u64 kCallers = 4;
+  constexpr u64 kBatches = 3000;
+  std::atomic<u64> wrong{0};
+  std::vector<std::thread> callers;
+  for (u64 c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&, c] {
+      for (u64 b = 0; b < kBatches; ++b) {
+        const u32 n = static_cast<u32>(8 + (b + c) % 57);
+        std::atomic<u64> sum{0};
+        const std::function<void(u32)> task = [&](u32 i) { sum.fetch_add(i + c); };
+        pool.run_batch(task, n);
+        if (sum.load() != u64{n} * (n - 1) / 2 + u64{n} * c) wrong.fetch_add(1);
+      }
+    });
+  }
+  for (auto& t : callers) t.join();
+  EXPECT_EQ(wrong.load(), 0u);
 }
 
 TEST(ForkJoin, ParallelForCoversRange) {

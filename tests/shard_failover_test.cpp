@@ -404,8 +404,6 @@ TEST(ShardedStore, OptionValidationRejectsMalformedConfigs) {
               o.replication = 4;
             }),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(bad([](ShardOptions& o) { o.journal_compact_limit = 0; }),
-            StatusCode::kInvalidArgument);
   EXPECT_EQ(bad([](ShardOptions& o) { o.migration_chunk = 0; }),
             StatusCode::kInvalidArgument);
   EXPECT_EQ(bad([](ShardOptions& o) { o.domain_hi = o.domain_lo; }),
