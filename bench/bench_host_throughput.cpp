@@ -113,13 +113,15 @@ void bm_host_throughput(benchmark::State& state, HostOp op, u32 p, sim::ExecOrde
   const u64 batch = host_batch(p, op);
   const workload::Dataset data = workload::make_uniform_dataset(n, /*seed=*/p * 7919 + 13);
 
-  // Keys: stored hits for Get, uniform probes for Successor, and a fresh
-  // disjoint key range for the Upsert+Delete pair (workload keys are
-  // drawn below 2^40; the fresh range sits above it).
+  // Keys: stored hits for Get, probes uniform over the data's domain for
+  // Successor (so searches end all along the leaf level, not on the two
+  // boundary paths), and a fresh disjoint key range for the Upsert+Delete
+  // pair (stored keys lie in [domain_lo, domain_hi]; the fresh range sits
+  // above it).
   const auto get_keys = stored_keys_sample(data, batch, /*seed=*/41);
   rnd::Xoshiro256ss rng(43);
   std::vector<Key> succ_keys(batch);
-  for (auto& k : succ_keys) k = rng();
+  for (auto& k : succ_keys) k = rng.range(data.domain_lo, data.domain_hi);
   std::vector<std::pair<Key, Value>> fresh_pairs(batch);
   std::vector<Key> fresh_keys(batch);
   for (u64 i = 0; i < batch; ++i) {

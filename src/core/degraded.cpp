@@ -24,11 +24,12 @@
 // The replicated upper chain of a deleted tower IS spliced eagerly (it
 // is readable locally and recovery re-streams rather than rebuilds it).
 //
-// Mid-batch failure escalates exactly like the guarded mutations: abort,
-// rebuild from checkpoint + journal (the admitted sub-batch commits
-// atomically), synthesize results on the CPU. A kDeadlineExceeded still
-// commits first, then propagates.
+// Mid-batch failure escalates exactly like the guarded mutations, through
+// the same guarded_write: abort, rebuild from checkpoint + log (the
+// admitted sub-batch commits atomically), synthesize results on the CPU.
+// A kDeadlineExceeded still commits first, then propagates.
 #include <string>
+#include <type_traits>
 #include <unordered_map>
 
 #include "common/math_util.hpp"
@@ -128,6 +129,12 @@ void PimSkipList::init_degraded_handlers() {
   };
 }
 
+bool PimSkipList::degraded() {
+  if (!machine_.fault_active()) return false;
+  fail_stop_suspects();
+  return machine_.down_count() > 0;
+}
+
 void PimSkipList::fail_stop_suspects() {
   if (machine_.suspect_count() == 0) return;
   for (ModuleId m = 0; m < machine_.modules(); ++m) {
@@ -219,84 +226,88 @@ std::vector<PimSkipList::PartialGet> PimSkipList::batch_get_partial(std::span<co
   }
 }
 
+template <typename Item>
+LogRecord PimSkipList::admit_live(LogRecord::Kind kind, std::span<const Item> items,
+                                  std::vector<ModuleId>& home, std::vector<u8>& admitted) {
+  // Admit live-homed positions; log the admitted sub-batch in order.
+  LogRecord rec;
+  rec.kind = kind;
+  for (u64 i = 0; i < items.size(); ++i) {
+    home[i] = placement_.module_of(key_of(items[i]), 0);
+    if (!machine_.is_down(home[i])) {
+      admitted[i] = 1;
+      rec.add(items[i]);
+    }
+    par::charge_work(1);
+  }
+  return rec;
+}
+
+template <typename Item>
+std::unordered_map<Key, u64> PimSkipList::send_admitted(std::span<const Item> items,
+                                                        const std::vector<ModuleId>& home,
+                                                        const std::vector<u8>& admitted,
+                                                        const sim::Handler* handler) {
+  // First occurrence wins on duplicates, matching the log's replay.
+  std::unordered_map<Key, u64> slot_of;
+  std::vector<u64> rep;  // position of each distinct admitted key
+  for (u64 i = 0; i < items.size(); ++i) {
+    if (!admitted[i]) continue;
+    if (slot_of.try_emplace(key_of(items[i]), rep.size()).second) rep.push_back(i);
+    par::charge_work(1);
+  }
+  const u64 d = rep.size();
+  machine_.mailbox().assign(d, 0);
+  par::charge_work(d);
+  par::charged_region(ceil_log2(d + 2), [&] {
+    for (u64 g = 0; g < d; ++g) {
+      const Item& item = items[rep[g]];
+      if constexpr (std::is_same_v<Item, Key>) {
+        const u64 args[2] = {g, static_cast<u64>(item)};
+        machine_.send(home[rep[g]], handler, std::span<const u64>(args, 2));
+      } else {
+        const u64 args[3] = {g, static_cast<u64>(item.first), item.second};
+        machine_.send(home[rep[g]], handler, std::span<const u64>(args, 3));
+      }
+      par::charge_work(1);
+    }
+  });
+  machine_.run_until_quiescent();
+  machine_.clear_round_budget();
+  return slot_of;
+}
+
 std::vector<PimSkipList::PartialFlag> PimSkipList::batch_update_partial(
     std::span<const std::pair<Key, Value>> ops) {
   const u64 n = ops.size();
   sim::TraceScope trace(machine_, "partial:update");
   std::vector<PartialFlag> out(n);
-  if (!machine_.fault_active()) {
-    journal_valid_ = false;
-    auto f = batch_update_impl(ops);
-    for (u64 i = 0; i < n; ++i) out[i] = PartialFlag{Status(), f[i] != 0};
-    return out;
-  }
-  fail_stop_suspects();
-  if (machine_.down_count() == 0) {
-    // Healthy: exactly the guarded batch op, every status kOk.
+  if (!degraded()) {
     auto f = batch_update(ops);
     for (u64 i = 0; i < n; ++i) out[i] = PartialFlag{Status(), f[i] != 0};
     return out;
   }
-  ensure_journaled();  // valid already, or PIM_CHECKs (crash predates fault mode)
-
-  // Admit live-homed positions; journal the admitted sub-batch in order.
   std::vector<u8> admitted(n, 0);
   std::vector<ModuleId> home(n);
-  JournalEntry e;
-  e.kind = JournalEntry::kJUpdate;
-  for (u64 i = 0; i < n; ++i) {
-    home[i] = placement_.module_of(ops[i].first, 0);
-    if (!machine_.is_down(home[i])) {
-      admitted[i] = 1;
-      e.ops.push_back(ops[i]);
-    }
-    par::charge_work(1);
-  }
-  journal_.push_back(std::move(e));
-  machine_.begin_fault_epoch();
-  arm_deadline();
-  try {
-    // First occurrence wins on duplicates, matching apply_journal_entry.
-    std::unordered_map<Key, u64> slot_of;
-    std::vector<u64> rep;  // position of each distinct admitted key
-    for (u64 i = 0; i < n; ++i) {
-      if (!admitted[i]) continue;
-      if (slot_of.try_emplace(ops[i].first, rep.size()).second) rep.push_back(i);
-      par::charge_work(1);
-    }
-    const u64 d = rep.size();
-    machine_.mailbox().assign(d, 0);
-    par::charge_work(d);
-    par::charged_region(ceil_log2(d + 2), [&] {
-      for (u64 g = 0; g < d; ++g) {
-        const auto& [key, value] = ops[rep[g]];
-        const u64 args[3] = {g, static_cast<u64>(key), value};
-        machine_.send(home[rep[g]], &h_update_, std::span<const u64>(args, 3));
-        par::charge_work(1);
-      }
-    });
-    machine_.run_until_quiescent();
-    machine_.clear_round_budget();
-    const auto& mail = machine_.mailbox();
-    for (u64 i = 0; i < n; ++i) {
-      out[i] = admitted[i] ? PartialFlag{Status(), mail[slot_of.at(ops[i].first)] != 0}
-                           : PartialFlag{unavailable(home[i]), false};
-      par::charge_work(1);
-    }
-    return out;
-  } catch (const StatusError& err) {
-    machine_.clear_round_budget();
-    if (err.code() == StatusCode::kDrainStuck) throw;
-    machine_.abort_pending();
-    const auto before_state = logical_contents(journal_.size() - 1);
-    rebuild_from_logical();  // the admitted sub-batch commits atomically
-    for (u64 i = 0; i < n; ++i) {
-      out[i] = admitted[i] ? PartialFlag{Status(), before_state.contains(ops[i].first)}
-                           : PartialFlag{unavailable(home[i]), false};
-    }
-    if (err.code() == StatusCode::kDeadlineExceeded) throw;  // committed first
-    return out;
-  }
+  return guarded_write(
+      /*repair_first=*/false, [&] { return admit_live(LogRecord::kUpdate, ops, home, admitted); },
+      [&] {
+        const auto slot_of = send_admitted(ops, home, admitted, &h_update_);
+        const auto& mail = machine_.mailbox();
+        for (u64 i = 0; i < n; ++i) {
+          out[i] = admitted[i] ? PartialFlag{Status(), mail[slot_of.at(ops[i].first)] != 0}
+                               : PartialFlag{unavailable(home[i]), false};
+          par::charge_work(1);
+        }
+        return std::move(out);
+      },
+      [&](const Pairs& before) {
+        for (u64 i = 0; i < n; ++i) {
+          out[i] = admitted[i] ? PartialFlag{Status(), find_key(before, ops[i].first) != nullptr}
+                               : PartialFlag{unavailable(home[i]), false};
+        }
+        return std::move(out);
+      });
 }
 
 std::vector<Status> PimSkipList::batch_upsert_partial(
@@ -304,74 +315,29 @@ std::vector<Status> PimSkipList::batch_upsert_partial(
   const u64 n = ops.size();
   sim::TraceScope trace(machine_, "partial:upsert");
   std::vector<Status> out(n);
-  if (!machine_.fault_active()) {
-    journal_valid_ = false;
-    batch_upsert_impl(ops);
+  if (!degraded()) {
+    batch_upsert(ops);  // the guarded op: fully linked inserts
     return out;
   }
-  fail_stop_suspects();
-  if (machine_.down_count() == 0) {
-    batch_upsert(ops);  // healthy: the guarded op, fully linked inserts
-    return out;
-  }
-  ensure_journaled();
-
   std::vector<u8> admitted(n, 0);
   std::vector<ModuleId> home(n);
-  JournalEntry e;
-  e.kind = JournalEntry::kJUpsert;
-  for (u64 i = 0; i < n; ++i) {
-    home[i] = placement_.module_of(ops[i].first, 0);
-    if (!machine_.is_down(home[i])) {
-      admitted[i] = 1;
-      e.ops.push_back(ops[i]);
-    }
-    par::charge_work(1);
-  }
-  journal_.push_back(std::move(e));
-  machine_.begin_fault_epoch();
-  arm_deadline();
-  try {
-    std::unordered_map<Key, u64> slot_of;
-    std::vector<u64> rep;
-    for (u64 i = 0; i < n; ++i) {
-      if (!admitted[i]) continue;
-      if (slot_of.try_emplace(ops[i].first, rep.size()).second) rep.push_back(i);
-      par::charge_work(1);
-    }
-    const u64 d = rep.size();
-    machine_.mailbox().assign(d, 0);
-    par::charge_work(d);
-    par::charged_region(ceil_log2(d + 2), [&] {
-      for (u64 g = 0; g < d; ++g) {
-        const auto& [key, value] = ops[rep[g]];
-        const u64 args[3] = {g, static_cast<u64>(key), value};
-        machine_.send(home[rep[g]], &h_upsert_direct_, std::span<const u64>(args, 3));
-        par::charge_work(1);
-      }
-    });
-    machine_.run_until_quiescent();
-    machine_.clear_round_budget();
-    const auto& mail = machine_.mailbox();
-    u64 inserted = 0;
-    for (u64 g = 0; g < d; ++g) inserted += mail[g];
-    size_ += inserted;
-    for (u64 i = 0; i < n; ++i) {
-      if (!admitted[i]) out[i] = unavailable(home[i]);
-      par::charge_work(1);
-    }
-    return out;
-  } catch (const StatusError& err) {
-    machine_.clear_round_budget();
-    if (err.code() == StatusCode::kDrainStuck) throw;
-    machine_.abort_pending();
-    rebuild_from_logical();  // the admitted sub-batch commits atomically
-    for (u64 i = 0; i < n; ++i) {
-      if (!admitted[i]) out[i] = unavailable(home[i]);
-    }
-    if (err.code() == StatusCode::kDeadlineExceeded) throw;  // committed first
-    return out;
-  }
+  return guarded_write(
+      /*repair_first=*/false, [&] { return admit_live(LogRecord::kUpsert, ops, home, admitted); },
+      [&] {
+        (void)send_admitted(ops, home, admitted, &h_upsert_direct_);
+        for (const u64 inserted : machine_.mailbox()) size_ += inserted;
+        for (u64 i = 0; i < n; ++i) {
+          if (!admitted[i]) out[i] = unavailable(home[i]);
+          par::charge_work(1);
+        }
+        return std::move(out);
+      },
+      [&](const Pairs&) {
+        for (u64 i = 0; i < n; ++i) {
+          if (!admitted[i]) out[i] = unavailable(home[i]);
+        }
+        return std::move(out);
+      });
 }
 
 std::vector<PimSkipList::PartialFlag> PimSkipList::batch_delete_partial(
@@ -379,79 +345,33 @@ std::vector<PimSkipList::PartialFlag> PimSkipList::batch_delete_partial(
   const u64 n = keys.size();
   sim::TraceScope trace(machine_, "partial:delete");
   std::vector<PartialFlag> out(n);
-  if (!machine_.fault_active()) {
-    journal_valid_ = false;
-    auto f = batch_delete_impl(keys);
-    for (u64 i = 0; i < n; ++i) out[i] = PartialFlag{Status(), f[i] != 0};
-    return out;
-  }
-  fail_stop_suspects();
-  if (machine_.down_count() == 0) {
+  if (!degraded()) {
     auto f = batch_delete(keys);
     for (u64 i = 0; i < n; ++i) out[i] = PartialFlag{Status(), f[i] != 0};
     return out;
   }
-  ensure_journaled();
-
   std::vector<u8> admitted(n, 0);
   std::vector<ModuleId> home(n);
-  JournalEntry e;
-  e.kind = JournalEntry::kJDelete;
-  for (u64 i = 0; i < n; ++i) {
-    home[i] = placement_.module_of(keys[i], 0);
-    if (!machine_.is_down(home[i])) {
-      admitted[i] = 1;
-      e.del_keys.push_back(keys[i]);
-    }
-    par::charge_work(1);
-  }
-  journal_.push_back(std::move(e));
-  machine_.begin_fault_epoch();
-  arm_deadline();
-  try {
-    std::unordered_map<Key, u64> slot_of;
-    std::vector<Key> distinct;
-    for (u64 i = 0; i < n; ++i) {
-      if (!admitted[i]) continue;
-      if (slot_of.try_emplace(keys[i], distinct.size()).second) distinct.push_back(keys[i]);
-      par::charge_work(1);
-    }
-    const u64 d = distinct.size();
-    machine_.mailbox().assign(d, 0);
-    par::charge_work(d);
-    par::charged_region(ceil_log2(d + 2), [&] {
-      for (u64 g = 0; g < d; ++g) {
-        const u64 args[2] = {g, static_cast<u64>(distinct[g])};
-        machine_.send(placement_.module_of(distinct[g], 0), &h_del_direct_,
-                      std::span<const u64>(args, 2));
-        par::charge_work(1);
-      }
-    });
-    machine_.run_until_quiescent();
-    machine_.clear_round_budget();
-    const auto& mail = machine_.mailbox();
-    u64 erased_total = 0;
-    for (u64 g = 0; g < d; ++g) erased_total += mail[g];
-    size_ -= erased_total;
-    for (u64 i = 0; i < n; ++i) {
-      out[i] = admitted[i] ? PartialFlag{Status(), mail[slot_of.at(keys[i])] != 0}
-                           : PartialFlag{unavailable(home[i]), false};
-      par::charge_work(1);
-    }
-    return out;
-  } catch (const StatusError& err) {
-    machine_.clear_round_budget();
-    if (err.code() == StatusCode::kDrainStuck) throw;
-    machine_.abort_pending();
-    const auto before_state = logical_contents(journal_.size() - 1);
-    rebuild_from_logical();  // the admitted sub-batch commits atomically
-    for (u64 i = 0; i < n; ++i) {
-      out[i] = admitted[i] ? PartialFlag{Status(), before_state.contains(keys[i])}
-                           : PartialFlag{unavailable(home[i]), false};
-    }
-    if (err.code() == StatusCode::kDeadlineExceeded) throw;  // committed first
-    return out;
-  }
+  return guarded_write(
+      /*repair_first=*/false, [&] { return admit_live(LogRecord::kDelete, keys, home, admitted); },
+      [&] {
+        const auto slot_of = send_admitted(keys, home, admitted, &h_del_direct_);
+        const auto& mail = machine_.mailbox();
+        for (const u64 erased : mail) size_ -= erased;
+        for (u64 i = 0; i < n; ++i) {
+          out[i] = admitted[i] ? PartialFlag{Status(), mail[slot_of.at(keys[i])] != 0}
+                               : PartialFlag{unavailable(home[i]), false};
+          par::charge_work(1);
+        }
+        return std::move(out);
+      },
+      [&](const Pairs& before) {
+        for (u64 i = 0; i < n; ++i) {
+          out[i] = admitted[i] ? PartialFlag{Status(), find_key(before, keys[i]) != nullptr}
+                               : PartialFlag{unavailable(home[i]), false};
+        }
+        return std::move(out);
+      });
 }
 
 }  // namespace pim::core

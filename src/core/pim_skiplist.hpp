@@ -37,6 +37,7 @@
 #include <vector>
 
 #include "common/types.hpp"
+#include "core/batch_log.hpp"
 #include "core/node.hpp"
 #include "core/scrubber.hpp"
 #include "pimds/deamortized_hash.hpp"
@@ -393,18 +394,6 @@ class PimSkipList {
 
   // ----- fault tolerance (recovery.cpp) -----
 
-  /// One journaled mutating batch. Replaying the journal over the last
-  /// checkpoint reproduces the logical contents exactly (first-occurrence-
-  /// wins on duplicate keys, matching par::dedup_keys).
-  struct JournalEntry {
-    enum Kind : u8 { kJUpsert, kJUpdate, kJDelete, kJFetchAdd };
-    Kind kind = kJUpsert;
-    std::vector<std::pair<Key, Value>> ops;  // upsert / update payload
-    std::vector<Key> del_keys;               // delete payload
-    Key lo = 0, hi = 0;                      // fetch-add range (inclusive)
-    u64 delta = 0;                           // fetch-add operand
-  };
-
   /// Crash listener body: drops the module's CPU-side mirror (arena, hash
   /// table, leaf index) so its local memory is truly gone.
   void on_module_crash(ModuleId m);
@@ -414,11 +403,8 @@ class PimSkipList {
   /// Recovers every down module (or falls back to a full rebuild).
   void ensure_healthy();
   void maybe_compact_journal();
-  /// checkpoint_ + the first `upto` journal entries, replayed on the CPU.
-  std::map<Key, Value> logical_contents(u64 upto) const;
-  static void apply_journal_entry(std::map<Key, Value>& s, const JournalEntry& e);
   /// Last-resort recovery: revives all modules, wipes everything and
-  /// rebuilds from logical_contents(). Used when surgical recovery is
+  /// rebuilds from log_.fold(). Used when surgical recovery is
   /// impossible (P == 1, multi-module crash) or a mutation failed
   /// mid-flight and may have partially applied.
   void rebuild_from_logical();
@@ -428,7 +414,7 @@ class PimSkipList {
   /// disagrees with the journal — a silent at-rest corruption scrubbing
   /// had not reached yet — is repaired from the journal; its module is
   /// appended to `repaired_survivors` for metering.
-  u64 offline_restore_module(ModuleId m, const std::map<Key, Value>& contents,
+  u64 offline_restore_module(ModuleId m, const Pairs& contents,
                              std::vector<ModuleId>& repaired_survivors);
   /// Builds the head towers (factored from the constructor; reused by
   /// rebuild_from_logical).
@@ -460,6 +446,22 @@ class PimSkipList {
   /// is crashed, so the next ensure_healthy runs surgical recover(m).
   /// Partial ops call this at entry but deliberately skip the recovery.
   void fail_stop_suspects();
+  /// Partial-op entry: with a fault plan, fail-stops suspects and reports
+  /// whether any module is down. False means the guarded op serves all.
+  bool degraded();
+  /// Degraded admission of a partial write: fills each position's home
+  /// module, admits the live-homed ones, and returns their log record.
+  template <typename Item>
+  LogRecord admit_live(LogRecord::Kind kind, std::span<const Item> items,
+                       std::vector<ModuleId>& home, std::vector<u8>& admitted);
+  /// Degraded driver of a partial write: one hash-routed `handler` task
+  /// per distinct admitted key, args [mailbox slot, key(, value)], drained.
+  /// Returns each admitted key's mailbox slot.
+  template <typename Item>
+  std::unordered_map<Key, u64> send_admitted(std::span<const Item> items,
+                                             const std::vector<ModuleId>& home,
+                                             const std::vector<u8>& admitted,
+                                             const sim::Handler* handler);
   /// Arms the machine's round budget from deadline_ (no-op if unset).
   void arm_deadline() {
     if (deadline_.max_rounds > 0 || deadline_.max_retries > 0) {
@@ -470,6 +472,16 @@ class PimSkipList {
   /// Read-only ops: recover if needed, run, restart on transient faults.
   template <typename Fn>
   auto guarded_read(Fn&& fn);
+  /// The seven journaled mutations. Without a fault plan `run` executes
+  /// unlogged. Otherwise the log is established, the structure repaired
+  /// first when `repair_first` (the guarded ops; the partial ops admit
+  /// around the damage instead), and `admit()`'s record is appended
+  /// before `run` executes. If the drain dies, the structure is rebuilt
+  /// from the log, which includes the batch, so it commits atomically,
+  /// and `on_abort(pre-batch contents)` synthesizes the results. A blown
+  /// deadline commits the same way, then rethrows.
+  template <typename Admit, typename Run, typename OnAbort>
+  auto guarded_write(bool repair_first, Admit&& admit, Run&& run, OnAbort&& on_abort);
 
   // Unwrapped op bodies (the public entry points add the fault layer).
   std::vector<GetResult> batch_get_impl(std::span<const Key> keys);
@@ -508,14 +520,12 @@ class PimSkipList {
 
   // ----- fault-tolerance state -----
   static constexpr u32 kMaxOpRestarts = 4;
-  static constexpr u64 kJournalCompactLimit = 64;
   /// Deterministic per-module (hash, index) reset seeds — derived from
   /// opts_.seed, NOT drawn from rng_, so crash recovery never perturbs the
   /// main random stream.
   std::vector<std::pair<u64, u64>> module_seeds_;
-  std::vector<JournalEntry> journal_;
-  std::map<Key, Value> checkpoint_;  // logical contents at journal start
-  /// True while checkpoint_ + journal_ describe the structure exactly.
+  BatchLog log_;  // write-ahead log: checkpoint + journaled batches
+  /// True while log_ describes the structure exactly.
   /// Mutations executed without an active fault plan clear it (they skip
   /// the journal); the next fault-mode operation re-checkpoints.
   bool journal_valid_ = true;
@@ -580,6 +590,38 @@ auto PimSkipList::guarded_read(Fn&& fn) {
       if (attempt + 1 >= kMaxOpRestarts) throw;
       machine_.abort_pending();
     }
+  }
+}
+
+template <typename Admit, typename Run, typename OnAbort>
+auto PimSkipList::guarded_write(bool repair_first, Admit&& admit, Run&& run,
+                                OnAbort&& on_abort) {
+  if (!machine_.fault_active()) {
+    journal_valid_ = false;  // the batch bypasses the log
+    return run();
+  }
+  ensure_journaled();
+  if (repair_first) {
+    fail_stop_suspects();  // breaker verdicts become surgical recoveries
+    ensure_healthy();
+  }
+  log_.append(admit());
+  machine_.begin_fault_epoch();
+  arm_deadline();
+  try {
+    auto result = run();
+    machine_.clear_round_budget();  // compaction/recovery run unbudgeted
+    maybe_compact_journal();
+    return result;
+  } catch (const StatusError& err) {
+    machine_.clear_round_budget();
+    if (err.code() == StatusCode::kDrainStuck) throw;
+    machine_.abort_pending();
+    const Pairs before = log_.fold(log_.size() - 1);
+    rebuild_from_logical();  // replays the log, this batch included
+    // A blown deadline still commits, but reports no results.
+    if (err.code() == StatusCode::kDeadlineExceeded) throw;
+    return on_abort(before);
   }
 }
 

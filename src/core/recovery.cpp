@@ -1,7 +1,7 @@
 // Fault tolerance for the PIM skiplist (DESIGN.md "Fault model and
-// recovery"): the write-ahead journal + checkpoint, module-crash recovery,
-// and the public batch entry points that wrap the op drivers in a
-// retry/recovery layer.
+// recovery"): checkpointing the write-ahead log (core::BatchLog),
+// module-crash recovery, and the public batch entry points that wrap the
+// op drivers in a retry/recovery layer (guarded_read / guarded_write).
 //
 // Division of labor with the machine: the machine makes transient faults
 // (drops, duplicates, stalls) invisible via transparent retransmission, so
@@ -10,9 +10,9 @@
 // the StatusError side:
 //  * Read-only batches write nothing, so a failed read is recovered by
 //    repairing the structure (recover / rebuild) and simply re-running it.
-//  * Mutating batches are journaled BEFORE execution. A batch that dies
+//  * Mutating batches are logged BEFORE execution. A batch that dies
 //    mid-drain may have partially applied; recovery replays
-//    checkpoint + journal — which already includes the failed batch — so
+//    checkpoint + log — which already includes the failed batch — so
 //    every mutation is atomic: fully applied after recovery, never torn.
 //  * recover(m) is surgical when exactly one module is down: the surviving
 //    modules plus the (intact, replicated) upper part pin down the shape of
@@ -21,7 +21,6 @@
 //    replica; the restored lower-part payload is metered as one message per
 //    node, and the traffic is folded into the machine's recovery counters.
 #include <algorithm>
-#include <unordered_set>
 
 #include "core/pim_skiplist.hpp"
 #include "sim/trace.hpp"
@@ -55,52 +54,18 @@ void PimSkipList::on_module_crash(ModuleId m) {
 
 // ---------------- journal ----------------
 
-void PimSkipList::apply_journal_entry(std::map<Key, Value>& s, const JournalEntry& e) {
-  switch (e.kind) {
-    case JournalEntry::kJUpsert: {
-      std::unordered_set<Key> seen;  // duplicate keys: first occurrence wins
-      for (const auto& [key, value] : e.ops) {
-        if (seen.insert(key).second) s[key] = value;
-      }
-      break;
-    }
-    case JournalEntry::kJUpdate: {
-      std::unordered_set<Key> seen;
-      for (const auto& [key, value] : e.ops) {
-        if (!seen.insert(key).second) continue;
-        if (auto it = s.find(key); it != s.end()) it->second = value;
-      }
-      break;
-    }
-    case JournalEntry::kJDelete:
-      for (const Key key : e.del_keys) s.erase(key);
-      break;
-    case JournalEntry::kJFetchAdd:
-      for (auto it = s.lower_bound(e.lo); it != s.end() && it->first <= e.hi; ++it) {
-        it->second += e.delta;
-      }
-      break;
-  }
-}
-
-std::map<Key, Value> PimSkipList::logical_contents(u64 upto) const {
-  std::map<Key, Value> s = checkpoint_;
-  const u64 n = std::min<u64>(upto, journal_.size());
-  for (u64 i = 0; i < n; ++i) apply_journal_entry(s, journal_[i]);
-  return s;
-}
-
 void PimSkipList::checkpoint() {
   PIM_CHECK(machine_.down_count() == 0, "checkpoint requires every module to be up");
-  checkpoint_.clear();
+  Pairs contents;
+  contents.reserve(size_);
   GPtr leaf = node_at(head_at(0)).right;
   while (!leaf.is_null()) {
     const Node& nd = node_at(leaf);
-    checkpoint_.emplace_hint(checkpoint_.end(), nd.key, nd.value);
+    contents.emplace_back(nd.key, nd.value);
     leaf = nd.right;
   }
-  PIM_CHECK(checkpoint_.size() == size_, "checkpoint walk disagrees with size");
-  journal_.clear();
+  PIM_CHECK(contents.size() == size_, "checkpoint walk disagrees with size");
+  log_.reset(std::move(contents));
   journal_valid_ = true;
 }
 
@@ -113,7 +78,7 @@ void PimSkipList::ensure_journaled() {
 }
 
 void PimSkipList::maybe_compact_journal() {
-  if (journal_.size() > kJournalCompactLimit && machine_.down_count() == 0) {
+  if (log_.size() > BatchLog::kCompactLimit && machine_.down_count() == 0) {
     // Scrub-before-checkpoint: the level-0 walk would freeze any silent
     // corruption into the new checkpoint as truth, making it permanently
     // undetectable. Audit and repair first.
@@ -156,7 +121,7 @@ void PimSkipList::recover(ModuleId m) {
   machine_.abort_pending();  // in-flight tasks of the failed batch are stale
   machine_.revive(m);
 
-  const auto contents = logical_contents(journal_.size());
+  const Pairs contents = log_.fold();
   std::vector<ModuleId> repaired_survivors;
   const u64 restored = offline_restore_module(m, contents, repaired_survivors);
 
@@ -194,7 +159,7 @@ void PimSkipList::rebuild_from_logical() {
             "fault-mode operation; no log of the contents exists)");
   machine_.clear_round_budget();  // recovery is never held to an op deadline
   const auto before = machine_.snapshot();
-  auto contents = logical_contents(journal_.size());
+  Pairs contents = log_.fold();
   machine_.abort_pending();
   for (ModuleId m = 0; m < machine_.modules(); ++m) {
     if (machine_.is_down(m)) machine_.revive(m);
@@ -206,8 +171,7 @@ void PimSkipList::rebuild_from_logical() {
   top_level_ = h_low_;
   init_heads();
   for (const auto& [key, value] : contents) offline_insert_tower(key, value, draw_height());
-  checkpoint_ = std::move(contents);
-  journal_.clear();
+  log_.reset(std::move(contents));
   journal_valid_ = true;
 
   // Meter the rebuild as one message per key (shipping the payload back
@@ -215,7 +179,7 @@ void PimSkipList::rebuild_from_logical() {
   try {
     sim::TraceScope trace(machine_, "recover:rebuild_stream");
     u64 seq = 0;
-    for (const auto& [key, value] : checkpoint_) {
+    for (const auto& [key, value] : log_.checkpoint()) {
       machine_.send(placement_.module_of(key, 0), &h_restore_,
                     {static_cast<u64>(placement_.module_of(key, 0)), seq++});
     }
@@ -227,7 +191,7 @@ void PimSkipList::rebuild_from_logical() {
   machine_.record_recovery(d.rounds, d.io_time);
 }
 
-u64 PimSkipList::offline_restore_module(ModuleId m, const std::map<Key, Value>& contents,
+u64 PimSkipList::offline_restore_module(ModuleId m, const Pairs& contents,
                                         std::vector<ModuleId>& repaired_survivors) {
   // Evidence: what the surviving modules + the replicated upper part say
   // about each tower. lower[lv] is the surviving (or restored) level-lv
@@ -447,148 +411,64 @@ std::vector<PimSkipList::RangeAgg> PimSkipList::batch_range_aggregate_expand(
 
 // ---------------- mutating entry points ----------------
 //
-// Shape shared by all four: without a fault plan, run the driver directly
-// (and invalidate the journal — the mutation bypassed it). With faults:
-// repair first, append the write-ahead entry, run the driver; if the drain
-// dies, rebuild from checkpoint + journal (which includes this batch, so
-// the mutation lands atomically) and synthesize the results by replaying
-// the journal prefix on the CPU.
+// guarded_write (pim_skiplist.hpp) adds the log and the recovery layer;
+// an aborted batch reports its results against the pre-batch contents.
+
+namespace {
+template <typename Item>
+std::vector<u8> found_flags(const Pairs& before, std::span<const Item> items) {
+  std::vector<u8> found(items.size());
+  for (u64 i = 0; i < items.size(); ++i) found[i] = find_key(before, key_of(items[i])) ? 1 : 0;
+  return found;
+}
+}  // namespace
 
 std::vector<u8> PimSkipList::batch_update(std::span<const std::pair<Key, Value>> ops) {
-  if (!machine_.fault_active()) {
-    journal_valid_ = false;
-    return batch_update_impl(ops);
-  }
-  ensure_journaled();
-  fail_stop_suspects();  // breaker verdicts become surgical recoveries
-  ensure_healthy();
-  JournalEntry e;
-  e.kind = JournalEntry::kJUpdate;
-  e.ops.assign(ops.begin(), ops.end());
-  journal_.push_back(std::move(e));
-  machine_.begin_fault_epoch();
-  arm_deadline();
-  try {
-    auto found = batch_update_impl(ops);
-    machine_.clear_round_budget();  // compaction/recovery run unbudgeted
-    maybe_compact_journal();
-    return found;
-  } catch (const StatusError& err) {
-    machine_.clear_round_budget();
-    if (err.code() == StatusCode::kDrainStuck) throw;
-    machine_.abort_pending();
-    const auto before_state = logical_contents(journal_.size() - 1);
-    rebuild_from_logical();
-    // A blown deadline still commits (the rebuild replays the journal,
-    // which includes this batch) but reports no results.
-    if (err.code() == StatusCode::kDeadlineExceeded) throw;
-    std::vector<u8> found(ops.size());
-    for (u64 i = 0; i < ops.size(); ++i) {
-      found[i] = before_state.contains(ops[i].first) ? 1 : 0;
-    }
-    return found;
-  }
+  return guarded_write(
+      /*repair_first=*/true, [&] { return LogRecord::of(LogRecord::kUpdate, ops); },
+      [&] { return batch_update_impl(ops); },
+      [&](const Pairs& before) { return found_flags(before, ops); });
 }
 
 void PimSkipList::batch_upsert(std::span<const std::pair<Key, Value>> ops) {
-  if (!machine_.fault_active()) {
-    journal_valid_ = false;
-    batch_upsert_impl(ops);
-    return;
-  }
-  ensure_journaled();
-  fail_stop_suspects();
-  ensure_healthy();
-  JournalEntry e;
-  e.kind = JournalEntry::kJUpsert;
-  e.ops.assign(ops.begin(), ops.end());
-  journal_.push_back(std::move(e));
-  machine_.begin_fault_epoch();
-  arm_deadline();
-  try {
-    batch_upsert_impl(ops);
-    machine_.clear_round_budget();
-    maybe_compact_journal();
-  } catch (const StatusError& err) {
-    machine_.clear_round_budget();
-    if (err.code() == StatusCode::kDrainStuck) throw;
-    machine_.abort_pending();
-    rebuild_from_logical();
-    if (err.code() == StatusCode::kDeadlineExceeded) throw;  // committed above
-  }
+  guarded_write(
+      /*repair_first=*/true, [&] { return LogRecord::of(LogRecord::kUpsert, ops); },
+      [&] {
+        batch_upsert_impl(ops);
+        return true;
+      },
+      [](const Pairs&) { return true; });
 }
 
 std::vector<u8> PimSkipList::batch_delete(std::span<const Key> keys) {
-  if (!machine_.fault_active()) {
-    journal_valid_ = false;
-    return batch_delete_impl(keys);
-  }
-  ensure_journaled();
-  fail_stop_suspects();
-  ensure_healthy();
-  JournalEntry e;
-  e.kind = JournalEntry::kJDelete;
-  e.del_keys.assign(keys.begin(), keys.end());
-  journal_.push_back(std::move(e));
-  machine_.begin_fault_epoch();
-  arm_deadline();
-  try {
-    auto out = batch_delete_impl(keys);
-    machine_.clear_round_budget();
-    maybe_compact_journal();
-    return out;
-  } catch (const StatusError& err) {
-    machine_.clear_round_budget();
-    if (err.code() == StatusCode::kDrainStuck) throw;
-    machine_.abort_pending();
-    const auto before_state = logical_contents(journal_.size() - 1);
-    rebuild_from_logical();
-    if (err.code() == StatusCode::kDeadlineExceeded) throw;  // committed above
-    std::vector<u8> out(keys.size());
-    for (u64 i = 0; i < keys.size(); ++i) {
-      out[i] = before_state.contains(keys[i]) ? 1 : 0;
-    }
-    return out;
-  }
+  return guarded_write(
+      /*repair_first=*/true, [&] { return LogRecord::of(keys); },
+      [&] { return batch_delete_impl(keys); },
+      [&](const Pairs& before) { return found_flags(before, keys); });
 }
 
 PimSkipList::RangeAgg PimSkipList::range_fetch_add_broadcast(Key lo, Key hi, u64 delta) {
-  if (!machine_.fault_active()) {
-    journal_valid_ = false;
-    return range_fetch_add_broadcast_impl(lo, hi, delta);
-  }
-  PIM_CHECK(lo <= hi, "range_fetch_add_broadcast: lo > hi");  // journal only valid ranges
-  ensure_journaled();
-  fail_stop_suspects();
-  ensure_healthy();
-  JournalEntry e;
-  e.kind = JournalEntry::kJFetchAdd;
-  e.lo = lo;
-  e.hi = hi;
-  e.delta = delta;
-  journal_.push_back(std::move(e));
-  machine_.begin_fault_epoch();
-  arm_deadline();
-  try {
-    auto agg = range_fetch_add_broadcast_impl(lo, hi, delta);
-    machine_.clear_round_budget();
-    maybe_compact_journal();
-    return agg;
-  } catch (const StatusError& err) {
-    machine_.clear_round_budget();
-    if (err.code() == StatusCode::kDrainStuck) throw;
-    machine_.abort_pending();
-    const auto before_state = logical_contents(journal_.size() - 1);
-    rebuild_from_logical();
-    if (err.code() == StatusCode::kDeadlineExceeded) throw;  // committed above
-    RangeAgg agg;
-    for (auto it = before_state.lower_bound(lo); it != before_state.end() && it->first <= hi;
-         ++it) {
-      ++agg.count;
-      agg.sum += it->second;
-    }
-    return agg;
-  }
+  return guarded_write(
+      /*repair_first=*/true,
+      [&] {
+        PIM_CHECK(lo <= hi, "range_fetch_add_broadcast: lo > hi");  // log only valid ranges
+        LogRecord r;
+        r.kind = LogRecord::kFetchAdd;
+        r.lo = lo;
+        r.hi = hi;
+        r.delta = delta;
+        return r;
+      },
+      [&] { return range_fetch_add_broadcast_impl(lo, hi, delta); },
+      [&](const Pairs& before) {
+        RangeAgg agg;
+        for (auto it = std::ranges::lower_bound(before, lo, {}, &Pairs::value_type::first);
+             it != before.end() && it->first <= hi; ++it) {
+          ++agg.count;
+          agg.sum += it->second;
+        }
+        return agg;
+      });
 }
 
 }  // namespace pim::core

@@ -234,7 +234,7 @@ void PimSkipList::scrub_span_once(ModuleId first, u32 count, ScrubReport& report
     upper_xor_[m].clear();  // mirror repair; traffic metered in phase D
   }
 
-  const auto contents = logical_contents(journal_.size());
+  const Pairs contents = log_.fold();
   std::vector<std::vector<std::pair<Key, Value>>> expect_leaves(count);
   std::vector<u32> audit_index(P, count);
   for (u32 i = 0; i < count; ++i) audit_index[(first + i) % P] = i;

@@ -2,6 +2,7 @@
 // remote-write/alloc handler set shared by all mutating batch operations,
 // space accounting (Theorem 3.1) and the structural invariant checker.
 #include <algorithm>
+#include <iterator>
 
 #include "common/math_util.hpp"
 #include "core/pim_skiplist.hpp"
@@ -355,12 +356,16 @@ void PimSkipList::build(std::span<const std::pair<Key, Value>> sorted_unique) {
   for (const auto& [key, value] : sorted_unique) {
     offline_insert_tower(key, value, draw_height());
   }
-  // Keep the recovery checkpoint in step: build bypasses the journal, so
-  // fold its keys into the checkpoint directly. If journaled mutations are
+  // Keep the recovery checkpoint in step: build bypasses the log, so
+  // merge its keys into the checkpoint directly. If journaled mutations are
   // already queued the ordering is ambiguous — invalidate and let the next
   // fault-mode operation re-checkpoint from the structure.
-  if (journal_.empty()) {
-    for (const auto& [key, value] : sorted_unique) checkpoint_[key] = value;
+  if (log_.size() == 0) {
+    Pairs contents;
+    contents.reserve(log_.checkpoint().size() + sorted_unique.size());
+    std::ranges::merge(log_.checkpoint(), sorted_unique, std::back_inserter(contents), {},
+                       &Pairs::value_type::first, &Pairs::value_type::first);
+    log_.reset(std::move(contents));
   } else {
     journal_valid_ = false;
   }

@@ -52,10 +52,9 @@ void ShardedPimStore::revive_shard(u32 slot) {
     // A rebuild that was replacing this member is moot now.
     abort_repair_for(slot);
     ReplicaGroup& g = groups_[s.group];
-    Pairs contents = replay_log(g);
+    Pairs contents = g.log.fold();
     restore_into(slot, contents);
-    g.checkpoint = std::move(contents);
-    g.journal.clear();
+    g.log.reset(std::move(contents));
     s.lo = g.lo;
     s.hi = g.hi;
     s.state = ShardState::kLive;
@@ -102,7 +101,7 @@ Status ShardedPimStore::failover(u32 slot) {
     return Status(StatusCode::kInvalidArgument, "no spare shard available");
   }
   ReplicaGroup& g = groups_[gi];
-  Pairs contents = replay_log(g);
+  Pairs contents = g.log.fold();
   restore_into(spare, contents);
   Shard& fresh = slots_[spare];
   fresh.state = ShardState::kLive;
@@ -115,8 +114,7 @@ Status ShardedPimStore::failover(u32 slot) {
       g.deprioritized &= ~(1u << mi);
     }
   }
-  g.checkpoint = std::move(contents);
-  g.journal.clear();
+  g.log.reset(std::move(contents));
   ++g.fence_epoch;  // membership changed: fence the old configuration
   // The victim is decommissioned: the log stays with the group. A later
   // revive_shard(slot) turns the repaired rack into an empty spare.

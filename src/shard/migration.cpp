@@ -78,63 +78,68 @@ Status ShardedPimStore::start_migration(u32 source, Key split_key) {
   m.lo = split_key;
   m.hi = g.hi;
   m.start_epoch = g.fence_epoch;
-  for (const auto& [k, v] : replay_log(g)) {
+  for (const auto& [k, v] : g.log.fold()) {
     if (k >= m.lo && k < m.hi) m.plan_keys.push_back(k);
   }
   migration_ = std::move(m);
   return Status();
 }
 
+Status ShardedPimStore::fence_movement(const Movement& mv) {
+  const u64 now = groups_[mv.group].fence_epoch;
+  if (now == mv.start_epoch) return Status();
+  ++fence_refusals_;
+  recycle_target(mv.target);
+  return fenced_status(mv.group, mv.start_epoch, now);
+}
+
+std::optional<Status> ShardedPimStore::copy_chunk(Movement& mv) {
+  if (mv.copy_done) return std::nullopt;
+  if (mv.cursor >= mv.plan_keys.size()) {
+    mv.copy_done = true;
+    return std::nullopt;
+  }
+  const u64 end =
+      std::min(mv.cursor + opts_.migration_chunk, static_cast<u64>(mv.plan_keys.size()));
+  const Key chunk_lo = mv.plan_keys[mv.cursor];
+  const Key chunk_hi = mv.plan_keys[end - 1];  // inclusive collect bound
+  std::vector<std::pair<Key, Value>> pairs;
+  try {
+    pairs = slots_[mv.source].list->range_collect_broadcast(chunk_lo, chunk_hi);
+  } catch (const StatusError& e) {
+    // Source faulted mid-collect; nothing was staged, the cursor stays
+    // put. A fatal verdict kills the source member, which aborts the
+    // movement (ownership never moved).
+    observe_shard_health(mv.source, true);
+    return e.status();
+  }
+  try {
+    if (!pairs.empty()) slots_[mv.target].list->batch_upsert(pairs);
+  } catch (const StatusError& e) {
+    // Re-collecting and re-upserting the same chunk is idempotent.
+    observe_shard_health(mv.target, true);
+    return e.status();
+  }
+  mv.copied += pairs.size();
+  mv.cursor = end;
+  if (mv.cursor >= mv.plan_keys.size()) mv.copy_done = true;
+  return Status();  // still active; the next step drains and installs
+}
+
 Status ShardedPimStore::migration_step() {
   if (!migration_.has_value()) {
     return Status(StatusCode::kInvalidArgument, "no migration is active");
   }
-  if (groups_[migration_->group].fence_epoch != migration_->start_epoch) {
-    // Source-group configuration changed mid-flight (death, revive,
-    // repair install, demotion...): the copy plan and delta were built
-    // against a configuration that is gone. Resolve by epoch — abort
-    // and let the policy loop re-propose against the new config. The
-    // source group never gave up ownership, so nothing is lost.
-    ++fence_refusals_;
-    const Status fenced =
-        fenced_status(migration_->group, migration_->start_epoch,
-                      groups_[migration_->group].fence_epoch);
-    const u32 target = migration_->target;
+  // Source-group configuration changed mid-flight (death, revive,
+  // repair install, demotion...): the copy plan and delta were built
+  // against a configuration that is gone. Resolve by epoch — abort and
+  // let the policy loop re-propose against the new config. The source
+  // group never gave up ownership, so nothing is lost.
+  if (Status fenced = fence_movement(*migration_); !fenced.ok()) {
     migration_.reset();
-    recycle_target(target);
     return fenced;
   }
-  MigrationState& m = *migration_;
-  if (!m.copy_done) {
-    if (m.cursor < m.plan_keys.size()) {
-      const u64 end =
-          std::min(m.cursor + opts_.migration_chunk, static_cast<u64>(m.plan_keys.size()));
-      const Key chunk_lo = m.plan_keys[m.cursor];
-      const Key chunk_hi = m.plan_keys[end - 1];  // inclusive collect bound
-      std::vector<std::pair<Key, Value>> pairs;
-      try {
-        pairs = slots_[m.source].list->range_collect_broadcast(chunk_lo, chunk_hi);
-      } catch (const StatusError& e) {
-        // Source faulted mid-collect; nothing was staged, the cursor
-        // stays put. A fatal verdict kills the source member, which
-        // aborts the migration (ownership never moved).
-        observe_shard_health(m.source, true);
-        return e.status();
-      }
-      try {
-        if (!pairs.empty()) slots_[m.target].list->batch_upsert(pairs);
-      } catch (const StatusError& e) {
-        // Re-collecting and re-upserting the same chunk is idempotent.
-        observe_shard_health(m.target, true);
-        return e.status();
-      }
-      m.copied += pairs.size();
-      m.cursor = end;
-      if (m.cursor >= m.plan_keys.size()) m.copy_done = true;
-      return Status();  // still active; next call drains + cuts over
-    }
-    m.copy_done = true;
-  }
+  if (auto copied = copy_chunk(*migration_)) return *copied;
   try {
     finish_migration();
   } catch (const StatusError& e) {
@@ -153,26 +158,7 @@ void ShardedPimStore::finish_migration() {
   // Drain the delta log onto the target, record by record (the cursor
   // makes a fault-interrupted drain resumable; same-order replay of a
   // record is idempotent).
-  while (m.delta_applied < m.delta.size()) {
-    const LogRecord& rec = m.delta[m.delta_applied];
-    try {
-      switch (rec.kind) {
-        case LogRecord::kUpsert:
-          tgt.list->batch_upsert(rec.ops);
-          break;
-        case LogRecord::kUpdate:
-          (void)tgt.list->batch_update(rec.ops);
-          break;
-        case LogRecord::kDelete:
-          (void)tgt.list->batch_delete(rec.keys);
-          break;
-      }
-    } catch (const StatusError&) {
-      observe_shard_health(m.target, true);
-      throw;  // migration stays active; the next step resumes the drain
-    }
-    ++m.delta_applied;
-  }
+  drain_delta(m.target, m.delta, m.delta_applied);
 
   // The copy pass read ONE live member's structure, which may have
   // carried a refused (kNoQuorum) write awaiting anti-entropy rollback
@@ -181,7 +167,7 @@ void ShardedPimStore::finish_migration() {
   // only the acked state may cross: the source journal's replay splits
   // at the cut into the carved group's checkpoint and the source's, and
   // the target is rebuilt offline when its contents disagree.
-  const Pairs replay = replay_log(groups_[m.group]);
+  const Pairs replay = groups_[m.group].log.fold();
   const auto key_at = [&](Key k) {
     return std::ranges::lower_bound(replay, k, {}, &Pairs::value_type::first);
   };
@@ -217,15 +203,14 @@ void ShardedPimStore::finish_migration() {
   std::vector<Key> moved;
   moved.reserve(moved_pairs.size());
   for (const auto& [k, v] : moved_pairs) moved.push_back(k);
-  carved.checkpoint = std::move(moved_pairs);
+  carved.log.reset(std::move(moved_pairs));
 
   // Durability handoff: the moved range leaves the source group's
   // journal and becomes the carved group's checkpoint.
   {
     ReplicaGroup& src = groups_[done.group];
     src.hi = done.lo;
-    src.checkpoint.assign(replay.begin(), cut);
-    src.journal.clear();
+    src.log.reset(Pairs(replay.begin(), cut));
     // Shrinking the owned range is a configuration change: late acks
     // and movements planned against the pre-cutover range are fenced.
     ++src.fence_epoch;
@@ -256,7 +241,7 @@ void ShardedPimStore::finish_migration() {
     } catch (const StatusError&) {
       observe_shard_health(member, true);
       if (slots_[member].state == ShardState::kLive) {
-        restore_into(member, groups_[done.group].checkpoint);
+        restore_into(member, groups_[done.group].log.checkpoint());
       }
     }
   }
@@ -312,7 +297,7 @@ std::optional<ShardedPimStore::MigrationPlan> ShardedPimStore::pick_migration(
 
   const ReplicaGroup& g = groups_[slots_[hot].group];
   std::vector<Key> keys;
-  for (const auto& [k, v] : replay_log(g)) keys.push_back(k);
+  for (const auto& [k, v] : g.log.fold()) keys.push_back(k);
   if (keys.size() < 2) return std::nullopt;
   const Key split = keys[keys.size() / 2];
   if (split <= g.lo || split >= g.hi) return std::nullopt;

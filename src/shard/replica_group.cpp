@@ -72,7 +72,7 @@ AntiEntropyReport ShardedPimStore::anti_entropy_step(u32 max_groups) {
     ReplicaGroup& g = groups_[gi];
     ++rep.groups_audited;
     rep.audited_groups.push_back(gi);
-    const Pairs expected = replay_log(g);
+    const Pairs expected = g.log.fold();
     const u64 want = core::PimSkipList::pairs_digest(expected);
     for (const u32 slot : g.members) {
       converge_member(gi, slot, expected, want, &rep);
@@ -195,7 +195,7 @@ Status ShardedPimStore::start_repair(u32 group) {
   // copy medium; the install digest-checks the rebuilt member against
   // the journal replay (finish_repair), so a source that lagged — or
   // carried refused writes awaiting rollback — cannot leak through.
-  for (const auto& [k, v] : replay_log(g)) r.plan_keys.push_back(k);
+  for (const auto& [k, v] : g.log.fold()) r.plan_keys.push_back(k);
   repair_ = std::move(r);
   return Status();
 }
@@ -204,53 +204,20 @@ Status ShardedPimStore::repair_step() {
   if (!repair_.has_value()) {
     return Status(StatusCode::kInvalidArgument, "no repair is active");
   }
-  if (groups_[repair_->group].fence_epoch != repair_->start_epoch) {
-    // The group's configuration changed since the repair started (a
-    // member died or was revived, the primary demoted, a cutover...).
-    // Resolve the race by epoch, never by timing: this repair was
-    // planned against a configuration that no longer exists, so it
-    // aborts — the policy loop restarts one against the new config if
-    // still needed. (A revive of the dead member it was replacing, for
-    // example, makes installing the stale copy actively wrong.)
-    ++fence_refusals_;
-    const Status fenced = fenced_status(repair_->group, repair_->start_epoch,
-                                        groups_[repair_->group].fence_epoch);
-    const u32 target = repair_->target;
+  // The group's configuration changed since the repair started (a member
+  // died or was revived, the primary demoted, a cutover...). Resolve the
+  // race by epoch, never by timing: this repair was planned against a
+  // configuration that no longer exists, so it aborts — the policy loop
+  // restarts one against the new config if still needed. (A revive of
+  // the dead member it was replacing, for example, makes installing the
+  // stale copy actively wrong.) A source fault during the copy kills the
+  // source member at its breaker verdict, which aborts the repair the
+  // same way; the policy loop restarts it from another live member.
+  if (Status fenced = fence_movement(*repair_); !fenced.ok()) {
     repair_.reset();
-    recycle_target(target);
     return fenced;
   }
-  RepairState& r = *repair_;
-  if (!r.copy_done) {
-    if (r.cursor < r.plan_keys.size()) {
-      const u64 end =
-          std::min(r.cursor + opts_.migration_chunk, static_cast<u64>(r.plan_keys.size()));
-      const Key chunk_lo = r.plan_keys[r.cursor];
-      const Key chunk_hi = r.plan_keys[end - 1];  // inclusive collect bound
-      std::vector<std::pair<Key, Value>> pairs;
-      try {
-        pairs = slots_[r.source].list->range_collect_broadcast(chunk_lo, chunk_hi);
-      } catch (const StatusError& e) {
-        // Nothing staged, the cursor stays put. A fatal verdict kills
-        // the source member, which aborts the repair (the policy loop
-        // restarts it from another live member).
-        observe_shard_health(r.source, true);
-        return e.status();
-      }
-      try {
-        if (!pairs.empty()) slots_[r.target].list->batch_upsert(pairs);
-      } catch (const StatusError& e) {
-        // Re-collecting and re-upserting the same chunk is idempotent.
-        observe_shard_health(r.target, true);
-        return e.status();
-      }
-      r.copied += pairs.size();
-      r.cursor = end;
-      if (r.cursor >= r.plan_keys.size()) r.copy_done = true;
-      return Status();  // still active; next call drains + installs
-    }
-    r.copy_done = true;
-  }
+  if (auto copied = copy_chunk(*repair_)) return *copied;
   try {
     finish_repair();
   } catch (const StatusError& e) {
@@ -268,33 +235,14 @@ void ShardedPimStore::finish_repair() {
 
   // Drain the delta log (acked group writes since start_repair) onto the
   // rebuilt member; the cursor makes a fault-interrupted drain resumable.
-  while (r.delta_applied < r.delta.size()) {
-    const LogRecord& rec = r.delta[r.delta_applied];
-    try {
-      switch (rec.kind) {
-        case LogRecord::kUpsert:
-          tgt.list->batch_upsert(rec.ops);
-          break;
-        case LogRecord::kUpdate:
-          (void)tgt.list->batch_update(rec.ops);
-          break;
-        case LogRecord::kDelete:
-          (void)tgt.list->batch_delete(rec.keys);
-          break;
-      }
-    } catch (const StatusError&) {
-      observe_shard_health(r.target, true);
-      throw;  // repair stays active; the next step resumes the drain
-    }
-    ++r.delta_applied;
-  }
+  drain_delta(r.target, r.delta, r.delta_applied);
 
   // The copy medium was a live member's structure, which may itself have
   // lagged the journal or carried a refused (kNoQuorum) write awaiting
   // anti-entropy rollback. The journal replay is authoritative:
   // digest-check the rebuilt member and rebuild it offline on mismatch,
   // so an install can never make an unacked write servable again.
-  const Pairs want = replay_log(groups_[r.group]);
+  const Pairs want = groups_[r.group].log.fold();
   if (tgt.list->contents_digest() != core::PimSkipList::pairs_digest(want)) {
     restore_into(r.target, want);
   }

@@ -27,35 +27,17 @@
 #pragma once
 
 #include <limits>
-#include <span>
-#include <utility>
 #include <vector>
 
 #include "common/types.hpp"
+#include "core/batch_log.hpp"
 
 namespace pim::shard {
 
 inline constexpr u32 kNoGroup = std::numeric_limits<u32>::max();
 inline constexpr u32 kNoSlot = std::numeric_limits<u32>::max();
 
-/// Key-sorted, key-unique (key, value) pairs: a group checkpoint or a
-/// journal replay, in the format PimSkipList::build and pairs_digest take.
-using Pairs = std::vector<std::pair<Key, Value>>;
-
-/// One acked-writes journal record (batch semantics: first occurrence of
-/// a key wins within a record, records replay in order).
-struct LogRecord {
-  enum Kind : u8 { kUpsert, kUpdate, kDelete };
-  Kind kind = kUpsert;
-  std::vector<std::pair<Key, Value>> ops;  // upsert / update payload
-  std::vector<Key> keys;                   // delete payload
-};
-
-/// Replays `records` in order over `checkpoint` and returns the result
-/// (first occurrence of a key wins within a record, the later record
-/// wins across records). One sort of the records' per-key effects by
-/// (key, record, position), then one merge with the checkpoint.
-Pairs fold_records(const Pairs& checkpoint, std::span<const LogRecord> records);
+using core::Pairs;
 
 /// A replication group: R slots serving one key range [lo, hi).
 struct ReplicaGroup {
@@ -69,9 +51,9 @@ struct ReplicaGroup {
   /// demotion sticky by rotating this to a live member.
   u32 primary = 0;
   /// Group-level durability (CPU-side, survives any subset of members):
-  /// contents at build / last compaction plus acked writes since.
-  Pairs checkpoint;
-  std::vector<LogRecord> journal;
+  /// contents at build / last compaction plus acked writes since. Its
+  /// fold is the authoritative contents of the range.
+  core::BatchLog log;
   /// Set when live members disagreed on an ack (one committed a write
   /// another missed): the anti-entropy audit visits dirty groups first.
   bool dirty = false;

@@ -7,7 +7,6 @@
 #include <algorithm>
 #include <cmath>
 #include <string>
-#include <type_traits>
 
 #include "common/error.hpp"
 #include "random/hash_fn.hpp"
@@ -96,63 +95,7 @@ void ShardedPimStore::provision(u32 slot) {
 
 // ---------------- group-level journal ----------------
 
-Pairs fold_records(const Pairs& checkpoint, std::span<const LogRecord> records) {
-  // One effect per journaled op. `seq` counts along the journal, so
-  // sorting by (key, seq) lines each key's effects up in replay order.
-  struct Effect {
-    Key key;
-    u64 seq;
-    u32 rec;
-    Value value;
-  };
-  std::vector<Effect> effects;
-  u64 seq = 0;
-  for (u32 ri = 0; ri < records.size(); ++ri) {
-    for (const auto& [k, v] : records[ri].ops) effects.push_back({k, seq++, ri, v});
-    for (const Key k : records[ri].keys) effects.push_back({k, seq++, ri, 0});
-  }
-  std::sort(effects.begin(), effects.end(), [](const Effect& a, const Effect& b) {
-    return a.key != b.key ? a.key < b.key : a.seq < b.seq;
-  });
-
-  Pairs out;
-  out.reserve(checkpoint.size() + effects.size());
-  auto base = checkpoint.begin();
-  for (u64 i = 0; i < effects.size();) {
-    const Key k = effects[i].key;
-    while (base != checkpoint.end() && base->first < k) out.push_back(*base++);
-    bool present = base != checkpoint.end() && base->first == k;
-    Value v = present ? base->second : 0;
-    if (present) ++base;
-    for (const u64 first = i; i < effects.size() && effects[i].key == k; ++i) {
-      const Effect& e = effects[i];
-      // First occurrence wins within a record.
-      if (i > first && effects[i - 1].rec == e.rec) continue;
-      const LogRecord::Kind kind = records[e.rec].kind;
-      if (kind == LogRecord::kDelete) {
-        present = false;
-      } else if (kind == LogRecord::kUpsert || present) {  // update: present keys only
-        present = true;
-        v = e.value;
-      }
-    }
-    if (present) out.emplace_back(k, v);
-  }
-  out.insert(out.end(), base, checkpoint.end());
-  return out;
-}
-
-Pairs ShardedPimStore::replay_log(const ReplicaGroup& g) const {
-  return fold_records(g.checkpoint, g.journal);
-}
-
-void ShardedPimStore::maybe_compact_journal(ReplicaGroup& g) {
-  if (g.journal.size() <= kJournalCompactLimit) return;
-  g.checkpoint = replay_log(g);
-  g.journal.clear();
-}
-
-bool ShardedPimStore::journal_acked(u32 group, u64 epoch, LogRecord record) {
+bool ShardedPimStore::journal_acked(u32 group, u64 epoch, core::LogRecord record) {
   if (groups_[group].fence_epoch != epoch) {
     // The ack was earned under a configuration that no longer exists (a
     // member died / was installed / cut over since dispatch). Refuse it
@@ -166,7 +109,7 @@ bool ShardedPimStore::journal_acked(u32 group, u64 epoch, LogRecord record) {
     // migration delta log; the drain replays them onto the target before
     // cutover. Replay over already-copied values is idempotent (same
     // write, same order), so a write racing the copy pass is safe.
-    LogRecord d;
+    core::LogRecord d;
     d.kind = record.kind;
     for (const auto& op : record.ops) {
       if (op.first >= migration_->lo && op.first < migration_->hi) d.ops.push_back(op);
@@ -181,10 +124,37 @@ bool ShardedPimStore::journal_acked(u32 group, u64 epoch, LogRecord record) {
     // the group's entire range.
     repair_->delta.push_back(record);
   }
-  ReplicaGroup& g = groups_[group];
-  g.journal.push_back(std::move(record));
-  maybe_compact_journal(g);
+  core::BatchLog& log = groups_[group].log;
+  log.append(std::move(record));
+  if (log.size() > core::BatchLog::kCompactLimit) log.reset(log.fold());
   return true;
+}
+
+void ShardedPimStore::drain_delta(u32 target, const std::vector<core::LogRecord>& delta,
+                                  u64& applied) {
+  core::PimSkipList& list = *slots_[target].list;
+  for (; applied < delta.size(); ++applied) {
+    const core::LogRecord& rec = delta[applied];
+    try {
+      switch (rec.kind) {
+        case core::LogRecord::kUpsert:
+          list.batch_upsert(rec.ops);
+          break;
+        case core::LogRecord::kUpdate:
+          (void)list.batch_update(rec.ops);
+          break;
+        case core::LogRecord::kDelete:
+          (void)list.batch_delete(rec.keys);
+          break;
+        case core::LogRecord::kFetchAdd:
+          (void)list.range_fetch_add_broadcast(rec.lo, rec.hi, rec.delta);
+          break;
+      }
+    } catch (const StatusError&) {
+      observe_shard_health(target, true);
+      throw;  // the movement stays active; its next step resumes here
+    }
+  }
 }
 
 void ShardedPimStore::restore_into(u32 slot, const Pairs& contents) {
@@ -239,7 +209,7 @@ u32 ShardedPimStore::serving_member(u32 group, u32 tried) {
     // serving from it: a retargeted or demoted-onto member can otherwise
     // answer with a value older than one the caller already observed
     // from the previous primary — breaking per-key monotonic reads.
-    const Pairs want = replay_log(groups_[group]);
+    const Pairs want = groups_[group].log.fold();
     converge_member(group, slot, want, core::PimSkipList::pairs_digest(want), nullptr);
     if (slots_[slot].state == ShardState::kLive) return slot;
     // Convergence tripped the member's breaker; pick the next live one.
@@ -339,8 +309,7 @@ void ShardedPimStore::build(std::span<const std::pair<Key, Value>> sorted_unique
       PIM_CHECK(s.state == ShardState::kLive, "build routed keys to a non-live shard");
       s.list->build(per_group[gi]);
     }
-    g.checkpoint = std::move(per_group[gi]);
-    g.journal.clear();
+    g.log.reset(std::move(per_group[gi]));
   }
 }
 
@@ -495,7 +464,7 @@ std::vector<ShardedPimStore::GetResult> ShardedPimStore::quorum_batch_get(
     for (u32 i = 0; i < r && j.runs.size() < want; ++i) {
       const u32 mi = (g.primary + i) % r;
       const u32 slot = g.members[mi];
-      if (slots_[slot].state == ShardState::kLive) j.runs.push_back(Run{slot});
+      if (slots_[slot].state == ShardState::kLive) j.runs.push_back(Run{slot, {}, {}});
     }
     if (j.runs.empty()) {
       if (group_live_members(group) == 0 && !g.members.empty()) {
@@ -539,12 +508,11 @@ std::vector<ShardedPimStore::GetResult> ShardedPimStore::quorum_batch_get(
     }
     std::optional<Pairs> replay;
     auto resolve = [&](u64 pos, Key k) {
-      if (!replay.has_value()) replay = replay_log(g);
+      if (!replay.has_value()) replay = g.log.fold();
       ++quorum_read_resolves_;
-      auto it = std::ranges::lower_bound(*replay, k, {}, &Pairs::value_type::first);
-      out[pos] = it == replay->end() || it->first != k
-                     ? GetResult{Status{}, false, 0}
-                     : GetResult{Status{}, true, it->second};
+      const auto* hit = core::find_key(*replay, k);
+      out[pos] = hit == nullptr ? GetResult{Status{}, false, 0}
+                                : GetResult{Status{}, true, hit->second};
     };
     if (j.resolve_all) {
       for (u64 pos : j.positions) resolve(pos, keys[pos]);
@@ -580,16 +548,10 @@ std::vector<ShardedPimStore::GetResult> ShardedPimStore::quorum_batch_get(
 template <typename Sub, typename Partial, typename Run, typename StatusOf,
           typename Emit>
 void ShardedPimStore::replicated_write(std::span<const Sub> items,
-                                       LogRecord::Kind kind, Run&& run,
+                                       core::LogRecord::Kind kind, Run&& run,
                                        StatusOf&& status_of, Emit&& emit) {
   const u64 n = items.size();
-  auto buckets = split_by_group(n, [&](u64 i) {
-    if constexpr (std::is_same_v<Sub, Key>) {
-      return items[i];
-    } else {
-      return items[i].first;
-    }
-  });
+  auto buckets = split_by_group(n, [&](u64 i) { return core::key_of(items[i]); });
 
   struct MemberRun {
     u32 slot;
@@ -611,7 +573,7 @@ void ShardedPimStore::replicated_write(std::span<const Sub> items,
     j.epoch = dispatch_epoch(group);
     j.positions = std::move(positions);
     for (const u32 slot : groups_[group].members) {
-      if (slots_[slot].state == ShardState::kLive) j.runs.push_back(MemberRun{slot});
+      if (slots_[slot].state == ShardState::kLive) j.runs.push_back(MemberRun{slot, {}, {}});
     }
     if (j.runs.empty()) {
       const Status down = shard_down_status(group);
@@ -653,7 +615,7 @@ void ShardedPimStore::replicated_write(std::span<const Sub> items,
       g.dirty = true;
       continue;
     }
-    LogRecord rec;
+    core::LogRecord rec;
     rec.kind = kind;
     for (u64 k = 0; k < j.positions.size(); ++k) {
       u32 acked = 0;
@@ -673,11 +635,7 @@ void ShardedPimStore::replicated_write(std::span<const Sub> items,
       }
       if (acked >= quorum) {
         emit(j.positions[k], status_of(*sample), sample);
-        if constexpr (std::is_same_v<Sub, Key>) {
-          rec.keys.push_back(j.sub[k]);
-        } else {
-          rec.ops.push_back(j.sub[k]);
-        }
+        rec.add(j.sub[k]);
         // A live member missed a write the group acked: its contents
         // now lag the journal until anti-entropy repairs it.
         if (any_err) g.dirty = true;
@@ -700,7 +658,7 @@ std::vector<Status> ShardedPimStore::batch_upsert(
     std::span<const std::pair<Key, Value>> ops) {
   std::vector<Status> out(ops.size());
   replicated_write<std::pair<Key, Value>, Status>(
-      ops, LogRecord::kUpsert,
+      ops, core::LogRecord::kUpsert,
       [](core::PimSkipList& list, const std::vector<std::pair<Key, Value>>& sub) {
         return list.batch_upsert_partial(sub);
       },
@@ -713,7 +671,7 @@ std::vector<ShardedPimStore::FlagResult> ShardedPimStore::batch_update(
     std::span<const std::pair<Key, Value>> ops) {
   std::vector<FlagResult> out(ops.size());
   replicated_write<std::pair<Key, Value>, core::PimSkipList::PartialFlag>(
-      ops, LogRecord::kUpdate,
+      ops, core::LogRecord::kUpdate,
       [](core::PimSkipList& list, const std::vector<std::pair<Key, Value>>& sub) {
         return list.batch_update_partial(sub);
       },
@@ -728,7 +686,7 @@ std::vector<ShardedPimStore::FlagResult> ShardedPimStore::batch_delete(
     std::span<const Key> keys) {
   std::vector<FlagResult> out(keys.size());
   replicated_write<Key, core::PimSkipList::PartialFlag>(
-      keys, LogRecord::kDelete,
+      keys, core::LogRecord::kDelete,
       [](core::PimSkipList& list, const std::vector<Key>& sub) {
         return list.batch_delete_partial(sub);
       },
@@ -823,7 +781,7 @@ u64 ShardedPimStore::member_digest(u32 slot) const {
 }
 
 u64 ShardedPimStore::group_expected_digest(u32 group) const {
-  return core::PimSkipList::pairs_digest(replay_log(groups_[group]));
+  return core::PimSkipList::pairs_digest(groups_[group].log.fold());
 }
 
 u32 ShardedPimStore::free_spares() const {
@@ -869,7 +827,7 @@ void ShardedPimStore::check_invariants() const {
     }
     // Every journaled key must lie inside the owned range (migration
     // cutover rewrites the log when ownership moves).
-    for (const auto& [k, v] : replay_log(g)) {
+    for (const auto& [k, v] : g.log.fold()) {
       PIM_CHECK(k >= g.lo && k < g.hi, "journaled key outside the group's range");
     }
   }

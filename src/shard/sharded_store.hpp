@@ -35,8 +35,9 @@
 //    as a chaos API.
 //
 //  * Failover: every acknowledged write is journaled at the GROUP level
-//    (a key-sorted checkpoint + ordered batch records, folded into the
-//    checkpoint by one sort-merge every kJournalCompactLimit records).
+//    (a core::BatchLog: a key-sorted checkpoint + ordered batch records,
+//    folded into the checkpoint by one sort-merge every
+//    BatchLog::kCompactLimit records).
 //    With R > 1 the journal is a backstop:
 //    a surviving replica keeps serving and repair rebuilds the dead
 //    member from the live one. Journal replay into a spare — failover(s)
@@ -449,10 +450,9 @@ class ShardedPimStore {
   /// Every member live and the group at full strength R.
   bool group_fully_replicated(u32 group) const;
   /// Group-journal records since the last compaction; the record that
-  /// takes the journal past kJournalCompactLimit folds it into the
+  /// takes the log past BatchLog::kCompactLimit folds it into the
   /// checkpoint.
-  u64 group_journal_records(u32 group) const { return groups_[group].journal.size(); }
-  static constexpr u64 kJournalCompactLimit = 64;
+  u64 group_journal_records(u32 group) const { return groups_[group].log.size(); }
   /// Content digest of one live member's structure (offline walk).
   u64 member_digest(u32 slot) const;
   /// Digest of the group journal's replay — what every member should
@@ -485,15 +485,16 @@ class ShardedPimStore {
 
   // ----- provisioning / replay -----
   void provision(u32 slot);  // fresh Machine + empty PimSkipList
-  Pairs replay_log(const ReplicaGroup& g) const;
-  void maybe_compact_journal(ReplicaGroup& g);
   /// Appends an acked-writes record to the group journal (and, when the
   /// group is a migration source or under repair, the relevant subset to
   /// that delta log). `epoch` is the configuration epoch the ack was
   /// earned under: a stale epoch is refused outright — nothing reaches
   /// the journal or either delta tee (the fencing gate for durability).
   /// Returns whether the record was accepted.
-  bool journal_acked(u32 group, u64 epoch, LogRecord record);
+  bool journal_acked(u32 group, u64 epoch, core::LogRecord record);
+  /// Replays a migration or repair delta log onto its target from
+  /// `applied` on, advancing it; a fault leaves it at the failed record.
+  void drain_delta(u32 target, const std::vector<core::LogRecord>& delta, u64& applied);
   /// Rebuilds a slot's machine+list from contents (failover / revive /
   /// anti-entropy escalation). Group journal state is the caller's
   /// business.
@@ -545,39 +546,40 @@ class ShardedPimStore {
   /// writes the caller-visible result (Partial* null when not acked).
   template <typename Sub, typename Partial, typename Run, typename StatusOf,
             typename Emit>
-  void replicated_write(std::span<const Sub> items, LogRecord::Kind kind,
+  void replicated_write(std::span<const Sub> items, core::LogRecord::Kind kind,
                         Run&& run, StatusOf&& status_of, Emit&& emit);
 
   // ----- migration / repair internals -----
-  struct MigrationState {
-    u32 group = 0;   // source group
+  /// What a migration and a repair share: a chunked copy of a group's
+  /// keys from a live member onto a spare, plus a tee of the acked
+  /// writes since the start, drained before the install.
+  struct Movement {
+    u32 group = 0;   // group the keys are copied from
     u32 source = 0;  // member slot the chunked copy reads from
-    u32 target = 0;  // spare being built (new group at cutover)
-    Key lo = 0;  // inclusive
-    Key hi = 0;  // exclusive (source group's old top)
+    u32 target = 0;  // spare being built
     std::vector<Key> plan_keys;  // keys present at start, sorted
     u64 cursor = 0;              // next index into plan_keys
     bool copy_done = false;
     u64 copied = 0;
-    std::vector<LogRecord> delta;    // acked writes into [lo, hi) since start
-    u64 delta_applied = 0;           // drain cursor (resumable after faults)
-    u64 start_epoch = 0;  // source group's fence_epoch at start; any bump
-                          // since fences the movement (it aborts, never
+    std::vector<core::LogRecord> delta;  // acked writes since start
+    u64 delta_applied = 0;               // drain cursor (resumable after faults)
+    u64 start_epoch = 0;  // group's fence_epoch at start; any bump since
+                          // fences the movement (it aborts, never
                           // installs under a configuration it didn't see)
   };
-  struct RepairState {
-    u32 group = 0;
-    u32 source = 0;            // live member the copy reads from
-    u32 target = 0;            // spare being built
-    u32 dead_slot = kNoSlot;   // member being replaced (kNoSlot = append)
-    std::vector<Key> plan_keys;
-    u64 cursor = 0;
-    bool copy_done = false;
-    u64 copied = 0;
-    std::vector<LogRecord> delta;  // acked group writes since start
-    u64 delta_applied = 0;
-    u64 start_epoch = 0;  // group's fence_epoch at start (see MigrationState)
+  struct MigrationState : Movement {
+    Key lo = 0;  // inclusive
+    Key hi = 0;  // exclusive (source group's old top); the delta tees [lo, hi)
   };
+  struct RepairState : Movement {
+    u32 dead_slot = kNoSlot;  // member being replaced (kNoSlot = append)
+  };
+  /// kFencedEpoch, with the target recycled, when the movement's group
+  /// changed configuration since it started; kOk otherwise.
+  Status fence_movement(const Movement& mv);
+  /// Copies the movement's next chunk onto its target and returns the
+  /// step's status; nullopt once the copy pass is done.
+  std::optional<Status> copy_chunk(Movement& mv);
   void abort_migration_for(u32 slot);
   void finish_migration();  // drain delta + cutover (one atomic step)
   void abort_repair_for(u32 slot);

@@ -96,13 +96,13 @@ void ModuleCtx::add_space(i64 words) {
 Machine::Machine(u32 modules, MachineOptions options)
     : per_module_(modules),
       pending_(modules),
+      active_flag_(modules, 0),
+      touched_flag_(modules, 0),
       down_(modules, false),
       stalled_(modules, 0),
       last_crash_round_(modules, FaultInjector::kNeverCrashed),
       strikes_(modules, 0),
       suspect_(modules, 0),
-      active_flag_(modules, 0),
-      touched_flag_(modules, 0),
       options_(options),
       shuffle_rng_(options.shuffle_seed) {
   PIM_CHECK(modules >= 1, "machine needs at least one module");

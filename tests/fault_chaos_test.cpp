@@ -25,9 +25,9 @@ namespace pim::core {
 
 // Test-only window into the journal/checkpoint internals.
 struct SkipListTestPeer {
-  static u64 journal_size(const PimSkipList& l) { return l.journal_.size(); }
+  static u64 journal_size(const PimSkipList& l) { return l.log_.size(); }
   static bool journal_valid(const PimSkipList& l) { return l.journal_valid_; }
-  static u64 checkpoint_size(const PimSkipList& l) { return l.checkpoint_.size(); }
+  static u64 checkpoint_size(const PimSkipList& l) { return l.log_.checkpoint().size(); }
 };
 
 namespace {
@@ -300,7 +300,9 @@ TEST(FaultChaos, RecoverRestoresCrashedModuleInPlace) {
 
 // A crash in the middle of a mutating batch: the write-ahead journal
 // replays the batch atomically — afterwards every key of the batch is
-// present, nothing committed earlier is lost.
+// present, nothing committed earlier is lost. A second crash in the
+// middle of a delete checks the results of an aborted batch: its found
+// flags come from the contents before the batch.
 TEST(FaultChaos, CrashMidMutationReplaysJournalAtomically) {
   sim::Machine machine(8);
   PimSkipList list(machine);
@@ -340,6 +342,20 @@ TEST(FaultChaos, CrashMidMutationReplaysJournalAtomically) {
   EXPECT_GE(machine.fault_counters().recoveries, 1u);
   EXPECT_EQ(machine.down_count(), 0u);
   EXPECT_EQ(list.size(), pairs.size() + ups.size());
+  list.check_invariants();
+
+  plan.crashes = {{/*module=*/5, machine.rounds() + 2}};
+  machine.set_fault_plan(plan);
+  const u64 recoveries = machine.fault_counters().recoveries;
+  std::vector<Key> dels;
+  for (int i = 0; i < 32; ++i) dels.push_back(ups[2 * i].first);  // present
+  for (int i = 0; i < 16; ++i) dels.push_back(ups[i].first + 1);  // absent
+  const auto erased = list.batch_delete(dels);
+  ASSERT_GT(machine.fault_counters().recoveries, recoveries) << "the delete did not abort";
+  for (u64 i = 0; i < dels.size(); ++i) {
+    EXPECT_EQ(erased[i], i < 32 ? 1 : 0) << "key " << dels[i];
+  }
+  EXPECT_EQ(list.size(), pairs.size() + ups.size() - 32);
   list.check_invariants();
 }
 

@@ -1,9 +1,10 @@
-// Group-journal fold tests (DESIGN.md §5.10): fold_records — the one
-// sort-merge that compacts a replica group's journal into its sorted
-// checkpoint and serves every replay — must equal a record-by-record
-// replay through the batch reference model. Checked directly on random
-// records, and through a 2-group store whose journals compact several
-// times, before and after a member is rebuilt from the replay.
+// Write-ahead log fold tests (DESIGN.md §5.5, §5.10): BatchLog::fold —
+// the sort-merge that compacts a log into its sorted checkpoint and
+// serves every replay, in the skiplist and in each replica group — must
+// equal a record-by-record replay through the batch reference model.
+// Checked directly on random records and every prefix of them, and
+// through a 2-group store whose journals compact several times, before
+// and after a member is rebuilt from the replay.
 #include <gtest/gtest.h>
 
 #include <numeric>
@@ -18,8 +19,9 @@
 namespace pim {
 namespace {
 
-using shard::LogRecord;
-using shard::Pairs;
+using core::BatchLog;
+using core::LogRecord;
+using core::Pairs;
 using shard::ShardedPimStore;
 using shard::ShardOptions;
 using shard::ShardState;
@@ -57,27 +59,44 @@ TEST(FoldRecords, MatchesRecordByRecordReplay) {
   for (int round = 0; round < 200; ++round) {
     Ref ref;
     for (const auto& [k, v] : random_ops(rng, rng.below(300))) ref[k] = v;
-    const Pairs checkpoint = pairs_of(ref);
-    std::vector<LogRecord> records(rng.below(80));
-    for (LogRecord& r : records) {
-      r.kind = static_cast<LogRecord::Kind>(rng.below(3));
+    BatchLog log;
+    log.reset(pairs_of(ref));
+    // states[i]: the reference contents after the first i records.
+    std::vector<Pairs> states{pairs_of(ref)};
+    const u64 records = rng.below(80);
+    for (u64 r = 0; r < records; ++r) {
       const auto ops = random_ops(rng, 1 + rng.below(24));
-      switch (r.kind) {
-        case LogRecord::kUpsert:
-          r.ops = ops;
-          test::ref_upsert(ref, r.ops);
+      switch (rng.below(4)) {
+        case 0:
+          log.append(LogRecord::of(LogRecord::kUpsert, ops));
+          test::ref_upsert(ref, ops);
           break;
-        case LogRecord::kUpdate:
-          r.ops = ops;
-          (void)test::ref_update(ref, r.ops);
+        case 1:
+          log.append(LogRecord::of(LogRecord::kUpdate, ops));
+          (void)test::ref_update(ref, ops);
           break;
-        case LogRecord::kDelete:
-          r.keys = keys_of(ops);
-          (void)test::ref_delete(ref, r.keys);
+        case 2:
+          log.append(LogRecord::of(keys_of(ops)));
+          (void)test::ref_delete(ref, keys_of(ops));
           break;
+        default: {
+          LogRecord add;
+          add.kind = LogRecord::kFetchAdd;
+          add.lo = rng.range(0, kDomain - 1);
+          add.hi = add.lo + rng.range(0, kDomain / 4);
+          add.delta = rng();
+          (void)test::ref_fetch_add(ref, add.lo, add.hi, add.delta);
+          log.append(std::move(add));
+          break;
+        }
       }
+      states.push_back(pairs_of(ref));
     }
-    ASSERT_EQ(shard::fold_records(checkpoint, records), pairs_of(ref)) << "round " << round;
+    // Every prefix: a failed batch's found flags come from fold(n - 1).
+    for (u64 upto = 0; upto < states.size(); ++upto) {
+      ASSERT_EQ(log.fold(upto), states[upto]) << "round " << round << " upto " << upto;
+    }
+    ASSERT_EQ(log.fold(), states.back()) << "round " << round;
   }
 }
 
