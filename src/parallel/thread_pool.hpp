@@ -1,4 +1,6 @@
-// A small fixed-size thread pool used by the fork-join layer.
+// A small fixed-size thread pool: the process-wide instance() runs the
+// fork-join layer, and each shard::ShardedPimStore owns one more, with
+// one lane per shard slot, that runs its shard waves.
 //
 // Scheduling here is an execution detail: the cost model (work/depth) is
 // computed structurally and is identical whether a loop runs on 1 or N
@@ -7,7 +9,10 @@
 //
 // Nested parallel regions execute inline on the worker that encounters
 // them (no blocking a worker on another worker), which is deadlock-free
-// and keeps the accounting unchanged.
+// and keeps the accounting unchanged. on_worker() is true on a worker of
+// any pool, so a shard call's nested parallel_for runs inline on a
+// store-pool worker; only the calls that the wave's calling thread claims
+// itself can reach instance()'s workers.
 #pragma once
 
 #include <atomic>
@@ -57,7 +62,7 @@ class ThreadPool {
   /// by the inline fast path above.
   void run_batch(const std::function<void(u32)>& task, u32 count, u32 grain = 1);
 
-  /// True if the current thread is one of this pool's workers.
+  /// True if the current thread is a worker of any ThreadPool.
   static bool on_worker();
 
  private:

@@ -62,9 +62,7 @@ void ShardedPimStore::revive_shard(u32 slot) {
     // group) had in flight under the pre-revive configuration is fenced,
     // and the member's gray history is forgotten — it is rebuilt fresh
     // from the authoritative replay.
-    u32 mi = 0;
-    while (g.members[mi] != slot) ++mi;
-    g.deprioritized &= ~(1u << mi);
+    g.deprioritized &= ~(1u << g.rank_of(slot));
     ++g.fence_epoch;
   } else {
     restore_into(slot, {});
@@ -207,8 +205,7 @@ Status ShardedPimStore::set_read_deprioritized(u32 slot, bool on) {
                   "read depriority applies to group members only");
   }
   ReplicaGroup& g = groups_[slots_[slot].group];
-  u32 mi = 0;
-  while (g.members[mi] != slot) ++mi;
+  const u32 mi = g.rank_of(slot);
   const u32 bit = 1u << mi;
   if (((g.deprioritized & bit) != 0) == on) return Status{};  // no change
   if (on) {

@@ -35,443 +35,211 @@ struct PendingNear {
   u32 group = 0;
 };
 
-}  // namespace
-
-std::vector<ShardedPimStore::NearResult> ShardedPimStore::batch_successor(
-    std::span<const Key> keys) {
-  const u64 n = keys.size();
-  std::vector<NearResult> out(n);
-  std::vector<PendingNear> pending;
-  pending.reserve(n);
-  for (u64 i = 0; i < n; ++i) {
-    pending.push_back(PendingNear{i, keys[i], routes_[route_index(keys[i])].group});
-  }
-
-  while (!pending.empty()) {
-    // Group this wave's queries by the replica group they currently ask.
-    std::vector<std::pair<u32, std::vector<u64>>> buckets;  // group -> pending idx
-    {
-      std::vector<u32> bucket_of(groups_.size(), static_cast<u32>(-1));
-      for (u64 i = 0; i < pending.size(); ++i) {
-        const u32 g = pending[i].group;
-        if (bucket_of[g] == static_cast<u32>(-1)) {
-          bucket_of[g] = static_cast<u32>(buckets.size());
-          buckets.emplace_back(g, std::vector<u64>{});
-        }
-        buckets[bucket_of[g]].second.push_back(i);
-      }
-    }
-
-    struct Job {
-      u32 group;
-      u32 slot;   // read member serving this wave
-      u64 epoch;  // group fence epoch captured at dispatch
-      std::vector<u64> pend;
-      std::vector<Key> sub;
-      std::vector<core::PimSkipList::NearResult> result;
-      std::optional<Status> failure;
-    };
-    std::vector<Job> jobs;
-    jobs.reserve(buckets.size());
-    for (auto& [group, pend] : buckets) {
-      const u32 slot = serving_member(group);
-      if (slot == kNoSlot) {
-        const Status down = shard_down_status(group);
-        for (u64 pi : pend) out[pending[pi].pos].status = down;
-        continue;
-      }
-      Job j;
-      j.group = group;
-      j.slot = slot;
-      j.epoch = dispatch_epoch(group);
-      j.pend = std::move(pend);
-      j.sub.reserve(j.pend.size());
-      for (u64 pi : j.pend) j.sub.push_back(pending[pi].key);
-      jobs.push_back(std::move(j));
-    }
-
-    std::vector<std::pair<u32, std::function<void()>>> wave;
-    wave.reserve(jobs.size());
-    for (Job& j : jobs) {
-      wave.emplace_back(j.slot, [this, &j] {
-        try {
-          j.result = slots_[j.slot].list->batch_successor(j.sub);
-        } catch (const StatusError& e) {
-          j.failure = e.status();
-        }
-      });
-    }
-    run_wave(std::move(wave));
-
-    std::vector<PendingNear> next;
-    for (Job& j : jobs) {
-      if (groups_[j.group].fence_epoch != j.epoch) {
-        // Configuration changed under the wave: the answers (and their
-        // clamp bounds) are from a config that no longer exists. Re-ask
-        // the same group at the new epoch; the range clamp re-spills
-        // anything the group no longer owns.
-        ++fence_refusals_;
-        for (u64 pi : j.pend) next.push_back(pending[pi]);
-        continue;
-      }
-      if (j.failure.has_value()) {
-        for (u64 pi : j.pend) out[pending[pi].pos].status = *j.failure;
-        observe_shard_health(j.slot, true);
-        continue;
-      }
-      const Key owned_hi = groups_[j.group].hi;  // clamp bound
-      for (u64 k = 0; k < j.pend.size(); ++k) {
-        const PendingNear& p = pending[j.pend[k]];
-        const auto& r = j.result[k];
-        if (r.found && (owned_hi == kMaxKey || r.key < owned_hi)) {
-          out[p.pos] = NearResult{Status(), true, r.key};
-        } else if (owned_hi == kMaxKey) {
-          out[p.pos] = NearResult{Status(), false, 0};  // end of key space
-        } else {
-          next.push_back(
-              PendingNear{p.pos, p.key, routes_[route_index(owned_hi)].group});
-        }
-      }
-      observe_shard_health(j.slot, false);
-    }
-    pending = std::move(next);
-  }
-  return out;
-}
-
-std::vector<ShardedPimStore::NearResult> ShardedPimStore::batch_predecessor(
-    std::span<const Key> keys) {
-  const u64 n = keys.size();
-  std::vector<NearResult> out(n);
-  std::vector<PendingNear> pending;
-  pending.reserve(n);
-  for (u64 i = 0; i < n; ++i) {
-    pending.push_back(PendingNear{i, keys[i], routes_[route_index(keys[i])].group});
-  }
-
-  while (!pending.empty()) {
-    std::vector<std::pair<u32, std::vector<u64>>> buckets;
-    {
-      std::vector<u32> bucket_of(groups_.size(), static_cast<u32>(-1));
-      for (u64 i = 0; i < pending.size(); ++i) {
-        const u32 g = pending[i].group;
-        if (bucket_of[g] == static_cast<u32>(-1)) {
-          bucket_of[g] = static_cast<u32>(buckets.size());
-          buckets.emplace_back(g, std::vector<u64>{});
-        }
-        buckets[bucket_of[g]].second.push_back(i);
-      }
-    }
-
-    struct Job {
-      u32 group;
-      u32 slot;
-      u64 epoch;
-      std::vector<u64> pend;
-      std::vector<Key> sub;
-      std::vector<core::PimSkipList::NearResult> result;
-      std::optional<Status> failure;
-    };
-    std::vector<Job> jobs;
-    jobs.reserve(buckets.size());
-    for (auto& [group, pend] : buckets) {
-      const u32 slot = serving_member(group);
-      if (slot == kNoSlot) {
-        const Status down = shard_down_status(group);
-        for (u64 pi : pend) out[pending[pi].pos].status = down;
-        continue;
-      }
-      Job j;
-      j.group = group;
-      j.slot = slot;
-      j.epoch = dispatch_epoch(group);
-      j.pend = std::move(pend);
-      j.sub.reserve(j.pend.size());
-      for (u64 pi : j.pend) j.sub.push_back(pending[pi].key);
-      jobs.push_back(std::move(j));
-    }
-
-    std::vector<std::pair<u32, std::function<void()>>> wave;
-    wave.reserve(jobs.size());
-    for (Job& j : jobs) {
-      wave.emplace_back(j.slot, [this, &j] {
-        try {
-          j.result = slots_[j.slot].list->batch_predecessor(j.sub);
-        } catch (const StatusError& e) {
-          j.failure = e.status();
-        }
-      });
-    }
-    run_wave(std::move(wave));
-
-    std::vector<PendingNear> next;
-    for (Job& j : jobs) {
-      if (groups_[j.group].fence_epoch != j.epoch) {
-        // Configuration changed under the wave: the answers (and their
-        // clamp bounds) are from a config that no longer exists. Re-ask
-        // the same group at the new epoch; the range clamp re-spills
-        // anything the group no longer owns.
-        ++fence_refusals_;
-        for (u64 pi : j.pend) next.push_back(pending[pi]);
-        continue;
-      }
-      if (j.failure.has_value()) {
-        for (u64 pi : j.pend) out[pending[pi].pos].status = *j.failure;
-        observe_shard_health(j.slot, true);
-        continue;
-      }
-      const Key owned_lo = groups_[j.group].lo;
-      for (u64 k = 0; k < j.pend.size(); ++k) {
-        const PendingNear& p = pending[j.pend[k]];
-        const auto& r = j.result[k];
-        if (r.found && r.key >= owned_lo) {
-          out[p.pos] = NearResult{Status(), true, r.key};
-        } else if (owned_lo == kMinKey) {
-          out[p.pos] = NearResult{Status(), false, 0};  // start of key space
-        } else {
-          next.push_back(
-              PendingNear{p.pos, p.key, routes_[route_index(owned_lo - 1)].group});
-        }
-      }
-      observe_shard_health(j.slot, false);
-    }
-    pending = std::move(next);
-  }
-  return out;
-}
-
-// ---------------- route-split range operations ----------------
-
-namespace {
-
-// One clamped subrange of a query, in route order.
-struct SubRange {
-  u64 chunk = 0;  // merge position (route order / query index)
+// One clamped piece of a range query, inside one group's range.
+struct RangePiece {
+  u64 query = 0;  // index into the op's queries
   Key lo = 0;
   Key hi = 0;  // inclusive
 };
 
 }  // namespace
 
-ShardedPimStore::RangeResult ShardedPimStore::range_aggregate(Key lo, Key hi) {
-  RangeResult res;
-  if (lo > hi) return res;
-  struct Job {
-    u32 slot;
-    u32 group;
-    u64 epoch;  // group fence epoch captured at dispatch
-    std::vector<SubRange> ranges;
-    RangeAgg agg;
-    std::optional<Status> failure;
-  };
-  std::vector<Job> jobs;
-  std::vector<u32> job_of(slots_.size(), static_cast<u32>(-1));
-  for (u32 idx = route_index(lo); idx < routes_.size() && routes_[idx].lo <= hi; ++idx) {
-    const u32 group = routes_[idx].group;
-    const Key sub_lo = std::max(lo, routes_[idx].lo);
-    const Key top = route_top(idx);
-    const Key sub_hi = top == kMaxKey ? hi : std::min(hi, top - 1);
-    if (sub_lo > sub_hi) continue;
-    const u32 slot = serving_member(group);
-    if (slot == kNoSlot) {
-      res.status = shard_down_status(group);
-      continue;
-    }
-    if (job_of[slot] == static_cast<u32>(-1)) {
-      job_of[slot] = static_cast<u32>(jobs.size());
-      jobs.push_back(Job{slot, group, dispatch_epoch(group), {}, {}, std::nullopt});
-    }
-    jobs[job_of[slot]].ranges.push_back(SubRange{0, sub_lo, sub_hi});
-  }
-
-  std::vector<std::pair<u32, std::function<void()>>> wave;
-  wave.reserve(jobs.size());
-  for (Job& j : jobs) {
-    wave.emplace_back(j.slot, [this, &j] {
-      try {
-        for (const SubRange& r : j.ranges) {
-          const RangeAgg a = slots_[j.slot].list->range_count_broadcast(r.lo, r.hi);
-          j.agg.count += a.count;
-          j.agg.sum += a.sum;
-        }
-      } catch (const StatusError& e) {
-        j.failure = e.status();
-      }
-    });
-  }
-  run_wave(std::move(wave));
-
-  for (Job& j : jobs) {
-    if (groups_[j.group].fence_epoch != j.epoch) {
-      ++fence_refusals_;
-      if (res.status.ok()) {
-        res.status = fenced_status(j.group, j.epoch, groups_[j.group].fence_epoch);
-      }
-      continue;  // stale partials feed neither the result nor the breaker
-    }
-    if (j.failure.has_value()) {
-      if (res.status.ok()) res.status = *j.failure;
-      observe_shard_health(j.slot, true);
-      continue;
-    }
-    res.agg.count += j.agg.count;
-    res.agg.sum += j.agg.sum;
-    observe_shard_health(j.slot, false);
-  }
-  return res;
+std::vector<ShardedPimStore::NearResult> ShardedPimStore::batch_successor(
+    std::span<const Key> keys) {
+  return batch_near(keys, /*forward=*/true);
 }
 
-std::vector<ShardedPimStore::RangeResult> ShardedPimStore::batch_range_aggregate(
-    std::span<const RangeQuery> queries) {
-  const u64 n = queries.size();
-  std::vector<RangeResult> out(n);
-  struct Job {
-    u32 slot;
-    u32 group;
-    u64 epoch;
-    std::vector<u64> qidx;  // parallel to subs: owning query index
-    std::vector<RangeQuery> subs;
-    std::vector<RangeAgg> result;
-    std::optional<Status> failure;
+std::vector<ShardedPimStore::NearResult> ShardedPimStore::batch_predecessor(
+    std::span<const Key> keys) {
+  return batch_near(keys, /*forward=*/false);
+}
+
+std::vector<ShardedPimStore::NearResult> ShardedPimStore::batch_near(
+    std::span<const Key> keys, bool forward) {
+  const u64 n = keys.size();
+  std::vector<NearResult> out(n);
+  std::vector<PendingNear> pending;
+  pending.reserve(n);
+  for (u64 i = 0; i < n; ++i) pending.push_back(PendingNear{i, keys[i], owning_group(keys[i])});
+
+  struct Job : WaveJob<std::vector<core::PimSkipList::NearResult>> {
+    std::vector<PendingNear> asks;
   };
-  std::vector<Job> jobs;
-  std::vector<u32> job_of(slots_.size(), static_cast<u32>(-1));
-  for (u64 q = 0; q < n; ++q) {
-    const Key lo = queries[q].lo, hi = queries[q].hi;
-    if (lo > hi) continue;
-    for (u32 idx = route_index(lo); idx < routes_.size() && routes_[idx].lo <= hi;
-         ++idx) {
-      const u32 group = routes_[idx].group;
-      const Key sub_lo = std::max(lo, routes_[idx].lo);
-      const Key top = route_top(idx);
-      const Key sub_hi = top == kMaxKey ? hi : std::min(hi, top - 1);
-      if (sub_lo > sub_hi) continue;
+  while (!pending.empty()) {
+    // Group this wave's queries by the replica group they currently ask.
+    std::vector<Job> jobs;
+    for (auto& [group, idx] :
+         split_by_group(pending.size(), [&](u64 i) { return pending[i].group; })) {
       const u32 slot = serving_member(group);
       if (slot == kNoSlot) {
-        out[q].status = shard_down_status(group);
+        const Status down = shard_down_status(group);
+        for (u64 pi : idx) out[pending[pi].pos].status = down;
+        continue;
+      }
+      Job j;
+      j.group = group;
+      j.epoch = dispatch_epoch(group);
+      j.calls = {{slot, {}, {}}};
+      for (u64 pi : idx) j.asks.push_back(pending[pi]);
+      jobs.push_back(std::move(j));
+    }
+    run_wave(jobs, [forward](core::PimSkipList& list, const Job& j) {
+      std::vector<Key> sub;
+      sub.reserve(j.asks.size());
+      for (const PendingNear& a : j.asks) sub.push_back(a.key);
+      return forward ? list.batch_successor(sub) : list.batch_predecessor(sub);
+    });
+
+    pending.clear();
+    settle_wave(
+        jobs,
+        [&](Job& j, const Status&) {
+          // The answers and their clamp bounds are from a configuration
+          // that no longer exists. Re-ask the same group at the new epoch;
+          // the range clamp re-spills anything the group no longer owns.
+          pending.insert(pending.end(), j.asks.begin(), j.asks.end());
+        },
+        [&](Job& j) {
+          const auto& c = j.calls.front();
+          const auto [lo, hi] = group_range(j.group);  // clamp bounds
+          // A miss spills to the neighbouring group, unless this group
+          // owns the end of the key space in the direction of travel.
+          const bool edge = forward ? hi == kMaxKey : lo == kMinKey;
+          for (u64 k = 0; k < j.asks.size(); ++k) {
+            const PendingNear& p = j.asks[k];
+            if (c.failure.has_value()) {
+              out[p.pos].status = *c.failure;
+              continue;
+            }
+            const auto& r = c.out[k];
+            if (r.found && (forward ? edge || r.key < hi : r.key >= lo)) {
+              out[p.pos] = NearResult{Status(), true, r.key};
+            } else if (edge) {
+              out[p.pos] = NearResult{};  // no key beyond this end
+            } else {
+              pending.push_back(
+                  PendingNear{p.pos, p.key, owning_group(forward ? hi : lo - 1)});
+            }
+          }
+        });
+  }
+  return out;
+}
+
+// ---------------- route-split range operations ----------------
+
+template <typename Job, typename Down>
+std::vector<Job> ShardedPimStore::split_ranges(std::span<const RangeQuery> queries,
+                                               Down&& down) {
+  std::vector<Job> jobs;
+  std::vector<u32> job_of(slots_.size(), static_cast<u32>(-1));
+  for (u64 q = 0; q < queries.size(); ++q) {
+    const Key lo = queries[q].lo, hi = queries[q].hi;
+    if (lo > hi) continue;
+    for (u32 idx = route_index(lo); idx < routes_.size() && routes_[idx].lo <= hi; ++idx) {
+      const u32 group = routes_[idx].group;
+      const Key top = route_top(idx);
+      const RangePiece piece{q, std::max(lo, routes_[idx].lo),
+                             top == kMaxKey ? hi : std::min(hi, top - 1)};
+      const u32 slot = serving_member(group);
+      if (slot == kNoSlot) {
+        down(q, shard_down_status(group));
         continue;
       }
       if (job_of[slot] == static_cast<u32>(-1)) {
         job_of[slot] = static_cast<u32>(jobs.size());
-        jobs.push_back(Job{slot, group, dispatch_epoch(group), {}, {}, {}, std::nullopt});
+        Job& j = jobs.emplace_back();
+        j.group = group;
+        j.epoch = dispatch_epoch(group);
+        j.calls = {{slot, {}, {}}};
       }
-      Job& j = jobs[job_of[slot]];
-      j.qidx.push_back(q);
-      j.subs.push_back(RangeQuery{sub_lo, sub_hi});
+      jobs[job_of[slot]].pieces.push_back(piece);
     }
   }
+  return jobs;
+}
 
-  std::vector<std::pair<u32, std::function<void()>>> wave;
-  wave.reserve(jobs.size());
-  for (Job& j : jobs) {
-    wave.emplace_back(j.slot, [this, &j] {
-      try {
-        j.result = slots_[j.slot].list->batch_range_aggregate(j.subs);
-      } catch (const StatusError& e) {
-        j.failure = e.status();
-      }
-    });
-  }
-  run_wave(std::move(wave));
+ShardedPimStore::RangeResult ShardedPimStore::range_aggregate(Key lo, Key hi) {
+  const RangeQuery query{lo, hi};
+  return aggregate_ranges({&query, 1}, /*batched=*/false).front();
+}
 
-  for (Job& j : jobs) {
-    if (groups_[j.group].fence_epoch != j.epoch) {
-      ++fence_refusals_;
-      const Status fenced =
-          fenced_status(j.group, j.epoch, groups_[j.group].fence_epoch);
-      for (u64 k = 0; k < j.qidx.size(); ++k) {
-        if (out[j.qidx[k]].status.ok()) out[j.qidx[k]].status = fenced;
-      }
-      continue;
+std::vector<ShardedPimStore::RangeResult> ShardedPimStore::batch_range_aggregate(
+    std::span<const RangeQuery> queries) {
+  return aggregate_ranges(queries, /*batched=*/true);
+}
+
+std::vector<ShardedPimStore::RangeResult> ShardedPimStore::aggregate_ranges(
+    std::span<const RangeQuery> queries, bool batched) {
+  std::vector<RangeResult> out(queries.size());
+  struct Job : WaveJob<std::vector<RangeAgg>> {
+    std::vector<RangePiece> pieces;
+  };
+  auto jobs = split_ranges<Job>(queries, [&](u64 q, Status down) { out[q].status = down; });
+  run_wave(jobs, [batched](core::PimSkipList& list, const Job& j) {
+    std::vector<RangeAgg> aggs;
+    if (batched) {
+      std::vector<RangeQuery> subs;
+      for (const RangePiece& p : j.pieces) subs.push_back(RangeQuery{p.lo, p.hi});
+      aggs = list.batch_range_aggregate(subs);
+    } else {
+      for (const RangePiece& p : j.pieces) aggs.push_back(list.range_count_broadcast(p.lo, p.hi));
     }
-    if (j.failure.has_value()) {
-      for (u64 k = 0; k < j.qidx.size(); ++k) {
-        if (out[j.qidx[k]].status.ok()) out[j.qidx[k]].status = *j.failure;
-      }
-      observe_shard_health(j.slot, true);
-      continue;
-    }
-    for (u64 k = 0; k < j.qidx.size(); ++k) {
-      out[j.qidx[k]].agg.count += j.result[k].count;
-      out[j.qidx[k]].agg.sum += j.result[k].sum;
-    }
-    observe_shard_health(j.slot, false);
-  }
+    return aggs;
+  });
+
+  // A failed piece fails its query (a kShardDown from the split wins);
+  // the sum covers the pieces that answered.
+  settle_wave(
+      jobs,
+      [&](Job& j, const Status& fenced) {
+        for (const RangePiece& p : j.pieces) {
+          if (out[p.query].status.ok()) out[p.query].status = fenced;
+        }
+      },
+      [&](Job& j) {
+        const auto& c = j.calls.front();
+        for (u64 k = 0; k < j.pieces.size(); ++k) {
+          RangeResult& r = out[j.pieces[k].query];
+          if (c.failure.has_value()) {
+            if (r.status.ok()) r.status = *c.failure;
+            continue;
+          }
+          r.agg.count += c.out[k].count;
+          r.agg.sum += c.out[k].sum;
+        }
+      });
   return out;
 }
 
 ShardedPimStore::CollectResult ShardedPimStore::range_collect(Key lo, Key hi) {
   CollectResult res;
-  if (lo > hi) return res;
-  struct Job {
-    u32 slot;
-    u32 group;
-    u64 epoch;
-    std::vector<SubRange> ranges;  // chunk = route order for the merge
-    std::vector<std::vector<std::pair<Key, Value>>> result;  // per range
-    std::optional<Status> failure;
+  const RangeQuery query{lo, hi};
+  struct Job : WaveJob<std::vector<std::pair<Key, Value>>> {
+    std::vector<RangePiece> pieces;
   };
-  std::vector<Job> jobs;
-  std::vector<u32> job_of(slots_.size(), static_cast<u32>(-1));
-  u64 chunks = 0;
-  for (u32 idx = route_index(lo); idx < routes_.size() && routes_[idx].lo <= hi; ++idx) {
-    const u32 group = routes_[idx].group;
-    const Key sub_lo = std::max(lo, routes_[idx].lo);
-    const Key top = route_top(idx);
-    const Key sub_hi = top == kMaxKey ? hi : std::min(hi, top - 1);
-    if (sub_lo > sub_hi) continue;
-    const u32 slot = serving_member(group);
-    if (slot == kNoSlot) {
-      res.status = shard_down_status(group);
-      ++chunks;  // keep merge positions stable
-      continue;
+  auto jobs = split_ranges<Job>({&query, 1}, [&](u64, Status down) { res.status = down; });
+  run_wave(jobs, [](core::PimSkipList& list, const Job& j) {
+    std::vector<std::pair<Key, Value>> pairs;
+    for (const RangePiece& p : j.pieces) {
+      const auto part = list.range_collect_broadcast(p.lo, p.hi);
+      pairs.insert(pairs.end(), part.begin(), part.end());
     }
-    if (job_of[slot] == static_cast<u32>(-1)) {
-      job_of[slot] = static_cast<u32>(jobs.size());
-      jobs.push_back(Job{slot, group, dispatch_epoch(group), {}, {}, std::nullopt});
-    }
-    jobs[job_of[slot]].ranges.push_back(SubRange{chunks++, sub_lo, sub_hi});
-  }
+    return pairs;
+  });
 
-  std::vector<std::pair<u32, std::function<void()>>> wave;
-  wave.reserve(jobs.size());
-  for (Job& j : jobs) {
-    j.result.resize(j.ranges.size());
-    wave.emplace_back(j.slot, [this, &j] {
-      try {
-        for (u64 r = 0; r < j.ranges.size(); ++r) {
-          j.result[r] =
-              slots_[j.slot].list->range_collect_broadcast(j.ranges[r].lo, j.ranges[r].hi);
-        }
-      } catch (const StatusError& e) {
-        j.failure = e.status();
-      }
-    });
-  }
-  run_wave(std::move(wave));
-
-  // Merge in route order: per-chunk results concatenate sorted because
-  // route ranges are disjoint and ascending.
-  std::vector<const std::vector<std::pair<Key, Value>>*> by_chunk(chunks, nullptr);
-  for (Job& j : jobs) {
-    if (groups_[j.group].fence_epoch != j.epoch) {
-      ++fence_refusals_;
-      if (res.status.ok()) {
-        res.status = fenced_status(j.group, j.epoch, groups_[j.group].fence_epoch);
-      }
-      continue;
-    }
-    if (j.failure.has_value()) {
-      if (res.status.ok()) res.status = *j.failure;
-      observe_shard_health(j.slot, true);
-      continue;
-    }
-    for (u64 r = 0; r < j.ranges.size(); ++r) by_chunk[j.ranges[r].chunk] = &j.result[r];
-    observe_shard_health(j.slot, false);
-  }
-  for (const auto* part : by_chunk) {
-    if (part != nullptr) res.pairs.insert(res.pairs.end(), part->begin(), part->end());
-  }
+  // A query meets each group once, so the jobs are in route order, and
+  // route ranges are disjoint and ascending: appending keeps pairs sorted.
+  auto fail = [&](const Status& st) {
+    if (res.status.ok()) res.status = st;
+  };
+  settle_wave(
+      jobs, [&](Job&, const Status& fenced) { fail(fenced); },
+      [&](Job& j) {
+        const auto& c = j.calls.front();
+        if (c.failure.has_value()) return fail(*c.failure);
+        res.pairs.insert(res.pairs.end(), c.out.begin(), c.out.end());
+      });
   return res;
 }
 

@@ -37,9 +37,7 @@ u32 ShardedPimStore::demote_dead_primaries() {
     if (slots_[g.members[g.primary]].state == ShardState::kLive) continue;
     const u32 slot = read_member(gi);
     if (slot == kNoSlot) continue;  // whole group dead — nothing to demote to
-    u32 mi = 0;
-    while (g.members[mi] != slot) ++mi;
-    g.primary = mi;
+    g.primary = g.rank_of(slot);
     // Read preference moved: fence anything in flight under the old
     // configuration (a wave dispatched to the dead primary included).
     ++g.fence_epoch;

@@ -73,6 +73,13 @@ struct ReplicaGroup {
   /// replicas that still receive writes (so they stay convergent) but
   /// are skipped by read selection unless no other live member remains.
   u32 deprioritized = 0;
+
+  /// Rank (index into `members`) of member `slot`, which must be one.
+  u32 rank_of(u32 slot) const {
+    u32 mi = 0;
+    while (members[mi] != slot) ++mi;
+    return mi;
+  }
 };
 
 /// Outcome of one anti-entropy invocation (store.anti_entropy_step).

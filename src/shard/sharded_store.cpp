@@ -37,14 +37,31 @@ Status validate_shard_options(const ShardOptions& opts) {
   return Status{};
 }
 
-ShardedPimStore::ShardedPimStore(ShardOptions opts) : opts_(std::move(opts)) {
-  if (Status v = validate_shard_options(opts_); !v.ok()) throw StatusError(v);
+namespace {
+
+ShardOptions validated(ShardOptions opts) {
+  if (Status v = validate_shard_options(opts); !v.ok()) throw StatusError(v);
+  return opts;
+}
+
+/// items[positions[0]], items[positions[1]], ...: one group's sub-batch.
+template <typename T>
+std::vector<T> gather(std::span<const T> items, const std::vector<u64>& positions) {
+  std::vector<T> sub;
+  sub.reserve(positions.size());
+  for (const u64 pos : positions) sub.push_back(items[pos]);
+  return sub;
+}
+
+}  // namespace
+
+// The slot count is fixed for the store's lifetime (migration grows
+// groups_, never slots_), and so is the pool sized from it.
+ShardedPimStore::ShardedPimStore(ShardOptions opts)
+    : opts_(validated(std::move(opts))),
+      slots_(size_t{opts_.shards} * opts_.replication + opts_.spares),
+      pool_(opts_.parallel_dispatch ? static_cast<u32>(slots_.size()) - 1 : 0) {
   const u32 r = opts_.replication;
-  slots_.resize(static_cast<size_t>(opts_.shards) * r + opts_.spares);
-  // The slot count is fixed for the store's lifetime (migration grows
-  // groups_, never slots_): pre-size the worker registry once so post()
-  // never resizes it — concurrent posters only ever read the cells.
-  workers_.reserve_slots(static_cast<u32>(slots_.size()));
   const u64 span =
       static_cast<u64>(opts_.domain_hi - opts_.domain_lo) / opts_.shards;
   groups_.resize(opts_.shards);
@@ -233,7 +250,7 @@ void ShardedPimStore::test_age_dispatch(u32 group, u64 count) {
 }
 
 u32 ShardedPimStore::route(Key key) const {
-  const u32 g = routes_[route_index(key)].group;
+  const u32 g = owning_group(key);
   const u32 slot = read_member(g);
   return slot == kNoSlot ? group_primary(g) : slot;
 }
@@ -261,18 +278,6 @@ Status ShardedPimStore::fenced_status(u32 group, u64 seen, u64 current) const {
 
 // ---------------- dispatch ----------------
 
-void ShardedPimStore::run_wave(std::vector<std::pair<u32, std::function<void()>>> jobs) {
-  if (!opts_.parallel_dispatch || jobs.size() <= 1) {
-    // Inline, in slot order: the deterministic twin of the threaded path.
-    std::sort(jobs.begin(), jobs.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    for (auto& [slot, job] : jobs) ShardWorkers::run_inline(std::move(job));
-    return;
-  }
-  for (auto& [slot, job] : jobs) workers_.post(slot, std::move(job));
-  workers_.wait_all();
-}
-
 void ShardedPimStore::observe_shard_health(u32 slot, bool wave_failed) {
   Shard& s = slots_[slot];
   if (s.state == ShardState::kDead || s.machine == nullptr) return;
@@ -299,7 +304,7 @@ void ShardedPimStore::build(std::span<const std::pair<Key, Value>> sorted_unique
   // member gets the identical slice (replicas differ only in layout).
   std::vector<std::vector<std::pair<Key, Value>>> per_group(groups_.size());
   for (const auto& kv : sorted_unique) {
-    per_group[routes_[route_index(kv.first)].group].push_back(kv);
+    per_group[owning_group(kv.first)].push_back(kv);
   }
   for (u32 gi = 0; gi < groups_.size(); ++gi) {
     if (per_group[gi].empty()) continue;
@@ -321,105 +326,77 @@ std::vector<ShardedPimStore::GetResult> ShardedPimStore::batch_get(
   const u64 n = keys.size();
   std::vector<GetResult> out(n);
 
-  // Reads retarget: each pending bucket remembers which member indexes
-  // it already tried; a wave that fails (whole sub-batch or per-key)
-  // moves to the next live member until none are left. With R = 1 this
+  // Reads retarget: each pending job remembers which member indexes it
+  // already tried; a wave that fails (whole sub-batch or per-key) moves
+  // to the next live member until none are left. With R = 1 this
   // degenerates to exactly the single-attempt PR 6 path.
-  struct Pending {
-    u32 group;
-    u32 tried;  // bitmask of member indexes attempted
+  struct Job : WaveJob<std::vector<core::PimSkipList::PartialGet>> {
+    u32 tried = 0;  // bitmask of member indexes attempted
     std::vector<u64> positions;
-    u64 epoch = 0;          // group fence epoch captured at dispatch
     u32 fence_retries = 0;  // re-dispatches after a configuration change
   };
-  std::vector<Pending> active;
-  for (auto& [group, positions] : split_by_group(n, [&](u64 i) { return keys[i]; })) {
-    active.push_back(Pending{group, 0u, std::move(positions)});
+  std::vector<Job> pending;
+  for (auto& [group, positions] :
+       split_by_group(n, [&](u64 i) { return owning_group(keys[i]); })) {
+    Job j;
+    j.group = group;
+    j.positions = std::move(positions);
+    pending.push_back(std::move(j));
   }
 
-  while (!active.empty()) {
-    struct Job {
-      u32 slot;
-      u32 member_index;
-      Pending* pending;
-      std::vector<Key> sub;
-      std::vector<core::PimSkipList::PartialGet> result;
-      std::optional<Status> failure;
-    };
+  while (!pending.empty()) {
     std::vector<Job> jobs;
-    jobs.reserve(active.size());
-    for (Pending& p : active) {
-      const u32 slot = serving_member(p.group, p.tried);
-      if (slot == kNoSlot) {
-        // Only reachable on the first attempt (retries are only queued
-        // when another live member exists): the whole group is dead.
-        const Status down = shard_down_status(p.group);
-        for (u64 pos : p.positions) out[pos].status = down;
+    for (Job& j : pending) {
+      const u32 slot = serving_member(j.group, j.tried);
+      if (slot == kNoSlot) {  // no live member left to try
+        const Status down = shard_down_status(j.group);
+        for (u64 pos : j.positions) out[pos].status = down;
         continue;
       }
-      p.epoch = dispatch_epoch(p.group);
-      const auto& members = groups_[p.group].members;
-      u32 mi = 0;
-      while (members[mi] != slot) ++mi;
-      Job j;
-      j.slot = slot;
-      j.member_index = mi;
-      j.pending = &p;
-      j.sub.reserve(p.positions.size());
-      for (u64 pos : p.positions) j.sub.push_back(keys[pos]);
+      j.epoch = dispatch_epoch(j.group);
+      j.calls = {{slot, {}, {}}};
       jobs.push_back(std::move(j));
     }
+    run_wave(jobs, [&](core::PimSkipList& list, const Job& j) {
+      return list.batch_get_partial(gather(keys, j.positions));
+    });
 
-    std::vector<std::pair<u32, std::function<void()>>> wave;
-    wave.reserve(jobs.size());
-    for (Job& j : jobs) {
-      wave.emplace_back(j.slot, [this, &j] {
-        try {
-          j.result = slots_[j.slot].list->batch_get_partial(j.sub);
-        } catch (const StatusError& e) {
-          j.failure = e.status();
-        }
-      });
-    }
-    run_wave(std::move(wave));
-
-    std::vector<Pending> next;
-    for (Job& j : jobs) {
-      ReplicaGroup& g = groups_[j.pending->group];
-      if (g.fence_epoch != j.pending->epoch) {
-        // The group's configuration changed between dispatch and merge
-        // (a zombie wave): the member's answers are from a config that
-        // no longer exists. Discard them — they feed neither results
-        // nor the breaker — and re-dispatch once at the new epoch.
-        ++fence_refusals_;
-        if (j.pending->fence_retries < 1) {
-          next.push_back(Pending{j.pending->group, 0u,
-                                 std::move(j.pending->positions), 0,
-                                 j.pending->fence_retries + 1});
-        } else {
-          const Status fenced =
-              fenced_status(j.pending->group, j.pending->epoch, g.fence_epoch);
-          for (u64 pos : j.pending->positions) out[pos] = GetResult{fenced};
-        }
-        continue;
-      }
-      Pending retry{j.pending->group, j.pending->tried | (1u << j.member_index), {}};
-      if (j.failure.has_value()) {
-        for (u64 pos : j.pending->positions) out[pos].status = *j.failure;
-        retry.positions = j.pending->positions;
-      } else {
-        for (u64 k = 0; k < j.pending->positions.size(); ++k) {
-          const auto& r = j.result[k];
-          out[j.pending->positions[k]] = GetResult{r.status, r.found, r.value};
-          if (!r.status.ok()) retry.positions.push_back(j.pending->positions[k]);
-        }
-      }
-      observe_shard_health(j.slot, j.failure.has_value());
-      if (!retry.positions.empty() && read_member(retry.group, retry.tried) != kNoSlot) {
-        next.push_back(std::move(retry));
-      }
-    }
-    active = std::move(next);
+    pending.clear();
+    settle_wave(
+        jobs,
+        [&](Job& j, const Status& fenced) {
+          // Re-dispatch a zombie job once, from the primary, at the new
+          // epoch.
+          if (j.fence_retries++ == 0) {
+            j.tried = 0;
+            pending.push_back(std::move(j));
+          } else {
+            for (u64 pos : j.positions) out[pos] = GetResult{fenced};
+          }
+        },
+        [&](Job& j) {
+          const auto& c = j.calls.front();
+          Job retry;
+          retry.group = j.group;
+          retry.tried = j.tried | (1u << groups_[j.group].rank_of(c.slot));
+          for (u64 k = 0; k < j.positions.size(); ++k) {
+            const u64 pos = j.positions[k];
+            if (c.failure.has_value()) {
+              out[pos].status = *c.failure;
+              retry.positions.push_back(pos);
+              continue;
+            }
+            const auto& r = c.out[k];
+            out[pos] = GetResult{r.status, r.found, r.value};
+            if (!r.status.ok()) retry.positions.push_back(pos);
+          }
+          if (!retry.positions.empty()) pending.push_back(std::move(retry));
+        });
+    // A retry needs a live member it has not tried yet, counted after
+    // this wave fed the breaker.
+    std::erase_if(pending, [&](const Job& j) {
+      return j.tried != 0 && read_member(j.group, j.tried) == kNoSlot;
+    });
   }
   return out;
 }
@@ -438,21 +415,13 @@ std::vector<ShardedPimStore::GetResult> ShardedPimStore::quorum_batch_get(
   const u64 n = keys.size();
   std::vector<GetResult> out(n);
 
-  struct Run {
-    u32 slot;
-    std::vector<core::PimSkipList::PartialGet> result;
-    std::optional<Status> failure;
-  };
-  struct Job {
-    u32 group;
-    u64 epoch;
+  struct Job : WaveJob<std::vector<core::PimSkipList::PartialGet>> {
     std::vector<u64> positions;
     std::vector<Key> sub;
-    std::vector<Run> runs;
-    bool resolve_all = false;  // too few live members: replay serves all
   };
   std::vector<Job> jobs;
-  for (auto& [group, positions] : split_by_group(n, [&](u64 i) { return keys[i]; })) {
+  for (auto& [group, positions] :
+       split_by_group(n, [&](u64 i) { return owning_group(keys[i]); })) {
     const ReplicaGroup& g = groups_[group];
     const u32 r = static_cast<u32>(g.members.size());
     const u32 wq = opts_.write_quorum;
@@ -461,87 +430,62 @@ std::vector<ShardedPimStore::GetResult> ShardedPimStore::quorum_batch_get(
     j.group = group;
     j.epoch = dispatch_epoch(group);
     j.positions = std::move(positions);
-    for (u32 i = 0; i < r && j.runs.size() < want; ++i) {
-      const u32 mi = (g.primary + i) % r;
-      const u32 slot = g.members[mi];
-      if (slots_[slot].state == ShardState::kLive) j.runs.push_back(Run{slot, {}, {}});
+    for (u32 i = 0; i < r && j.calls.size() < want; ++i) {
+      const u32 slot = g.members[(g.primary + i) % r];
+      if (slots_[slot].state == ShardState::kLive) j.calls.push_back({slot, {}, {}});
     }
-    if (j.runs.empty()) {
-      if (group_live_members(group) == 0 && !g.members.empty()) {
-        const Status down = shard_down_status(group);
-        for (u64 pos : j.positions) out[pos].status = down;
-        continue;
-      }
-      j.resolve_all = true;
-    } else if (j.runs.size() < want) {
-      j.runs.clear();  // a partial consult can neither agree nor refuse
-      j.resolve_all = true;
+    if (j.calls.empty()) {
+      const Status down = shard_down_status(group);
+      for (u64 pos : j.positions) out[pos].status = down;
+      continue;
     }
-    if (!j.resolve_all) {
-      j.sub.reserve(j.positions.size());
-      for (u64 pos : j.positions) j.sub.push_back(keys[pos]);
+    if (j.calls.size() < want) {
+      j.calls.clear();  // a partial consult can neither agree nor refuse
+    } else {
+      j.sub = gather(keys, j.positions);
     }
     jobs.push_back(std::move(j));
   }
+  run_wave(jobs, [](core::PimSkipList& list, const Job& j) {
+    return list.batch_get_partial(j.sub);
+  });
 
-  std::vector<std::pair<u32, std::function<void()>>> wave;
-  for (Job& j : jobs) {
-    for (Run& r : j.runs) {
-      wave.emplace_back(r.slot, [this, &j, &r] {
-        try {
-          r.result = slots_[r.slot].list->batch_get_partial(j.sub);
-        } catch (const StatusError& e) {
-          r.failure = e.status();
+  settle_wave(
+      jobs,
+      [&](Job& j, const Status& fenced) {
+        for (u64 pos : j.positions) out[pos] = GetResult{fenced};
+      },
+      [&](Job& j) {
+        ReplicaGroup& g = groups_[j.group];
+        std::optional<Pairs> replay;
+        for (u64 k = 0; k < j.positions.size(); ++k) {
+          // A job with no calls (too few live members) resolves every key.
+          bool agree = !j.calls.empty();
+          const core::PimSkipList::PartialGet* first = nullptr;
+          for (const auto& c : j.calls) {
+            if (c.failure.has_value() || !c.out[k].status.ok()) {
+              agree = false;
+              break;
+            }
+            if (first == nullptr) {
+              first = &c.out[k];
+            } else if (c.out[k].found != first->found ||
+                       (first->found && c.out[k].value != first->value)) {
+              agree = false;
+            }
+          }
+          const u64 pos = j.positions[k];
+          if (agree) {
+            out[pos] = GetResult{first->status, first->found, first->value};
+            continue;
+          }
+          if (!replay.has_value()) replay = g.log.fold();
+          ++quorum_read_resolves_;
+          const auto* hit = core::find_key(*replay, keys[pos]);
+          out[pos] = hit == nullptr ? GetResult{} : GetResult{Status{}, true, hit->second};
+          if (!j.calls.empty()) g.dirty = true;  // a consulted member lagged or faulted
         }
       });
-    }
-  }
-  run_wave(std::move(wave));
-
-  for (Job& j : jobs) {
-    ReplicaGroup& g = groups_[j.group];
-    if (g.fence_epoch != j.epoch) {
-      ++fence_refusals_;
-      const Status fenced = fenced_status(j.group, j.epoch, g.fence_epoch);
-      for (u64 pos : j.positions) out[pos] = GetResult{fenced};
-      continue;
-    }
-    std::optional<Pairs> replay;
-    auto resolve = [&](u64 pos, Key k) {
-      if (!replay.has_value()) replay = g.log.fold();
-      ++quorum_read_resolves_;
-      const auto* hit = core::find_key(*replay, k);
-      out[pos] = hit == nullptr ? GetResult{Status{}, false, 0}
-                                : GetResult{Status{}, true, hit->second};
-    };
-    if (j.resolve_all) {
-      for (u64 pos : j.positions) resolve(pos, keys[pos]);
-      continue;
-    }
-    for (u64 k = 0; k < j.positions.size(); ++k) {
-      bool agree = true;
-      const core::PimSkipList::PartialGet* first = nullptr;
-      for (Run& r : j.runs) {
-        if (r.failure.has_value() || !r.result[k].status.ok()) {
-          agree = false;
-          break;
-        }
-        if (first == nullptr) {
-          first = &r.result[k];
-        } else if (r.result[k].found != first->found ||
-                   (first->found && r.result[k].value != first->value)) {
-          agree = false;
-        }
-      }
-      if (agree && first != nullptr) {
-        out[j.positions[k]] = GetResult{first->status, first->found, first->value};
-      } else {
-        resolve(j.positions[k], j.sub[k]);
-        g.dirty = true;  // a consulted member lagged or faulted
-      }
-    }
-    for (Run& r : j.runs) observe_shard_health(r.slot, r.failure.has_value());
-  }
   return out;
 }
 
@@ -550,108 +494,78 @@ template <typename Sub, typename Partial, typename Run, typename StatusOf,
 void ShardedPimStore::replicated_write(std::span<const Sub> items,
                                        core::LogRecord::Kind kind, Run&& run,
                                        StatusOf&& status_of, Emit&& emit) {
-  const u64 n = items.size();
-  auto buckets = split_by_group(n, [&](u64 i) { return core::key_of(items[i]); });
-
-  struct MemberRun {
-    u32 slot;
-    std::vector<Partial> result;
-    std::optional<Status> failure;
-  };
-  struct Job {
-    u32 group;
-    u64 epoch;  // group fence epoch captured at dispatch
+  struct Job : WaveJob<std::vector<Partial>> {
     std::vector<u64> positions;
     std::vector<Sub> sub;
-    std::vector<MemberRun> runs;  // one per live member at dispatch
   };
   std::vector<Job> jobs;
-  jobs.reserve(buckets.size());
-  for (auto& [group, positions] : buckets) {
+  for (auto& [group, positions] : split_by_group(
+           items.size(), [&](u64 i) { return owning_group(core::key_of(items[i])); })) {
     Job j;
     j.group = group;
     j.epoch = dispatch_epoch(group);
     j.positions = std::move(positions);
     for (const u32 slot : groups_[group].members) {
-      if (slots_[slot].state == ShardState::kLive) j.runs.push_back(MemberRun{slot, {}, {}});
+      if (slots_[slot].state == ShardState::kLive) j.calls.push_back({slot, {}, {}});
     }
-    if (j.runs.empty()) {
+    if (j.calls.empty()) {
       const Status down = shard_down_status(group);
       for (u64 p : j.positions) emit(p, down, nullptr);
       continue;
     }
-    j.sub.reserve(j.positions.size());
-    for (u64 p : j.positions) j.sub.push_back(items[p]);
+    j.sub = gather(items, j.positions);
     jobs.push_back(std::move(j));
   }
-
-  std::vector<std::pair<u32, std::function<void()>>> wave;
-  for (Job& j : jobs) {
-    for (MemberRun& r : j.runs) {
-      wave.emplace_back(r.slot, [this, &j, &r, &run] {
-        try {
-          r.result = run(*slots_[r.slot].list, j.sub);
-        } catch (const StatusError& e) {
-          r.failure = e.status();
-        }
-      });
-    }
-  }
-  run_wave(std::move(wave));
+  run_wave(jobs, [&](core::PimSkipList& list, const Job& j) { return run(list, j.sub); });
 
   const u32 quorum = opts_.write_quorum;
-  for (Job& j : jobs) {
-    ReplicaGroup& g = groups_[j.group];
-    if (g.fence_epoch != j.epoch) {
-      // Zombie wave: the commits happened under a configuration that
-      // changed before the merge. Refuse every position — nothing is
-      // acked, nothing is journaled, the breaker sees nothing. (The
-      // caller retries and observes the new configuration; survivors
-      // holding the un-acked application are rolled back by
-      // anti-entropy, exactly like a kNoQuorum refusal.)
-      ++fence_refusals_;
-      const Status fenced = fenced_status(j.group, j.epoch, g.fence_epoch);
-      for (u64 p : j.positions) emit(p, fenced, nullptr);
-      g.dirty = true;
-      continue;
-    }
-    core::LogRecord rec;
-    rec.kind = kind;
-    for (u64 k = 0; k < j.positions.size(); ++k) {
-      u32 acked = 0;
-      const Partial* sample = nullptr;
-      Status first_err;
-      bool any_err = false;
-      for (MemberRun& r : j.runs) {
-        const Status& st =
-            r.failure.has_value() ? *r.failure : status_of(r.result[k]);
-        if (st.ok()) {
-          ++acked;
-          if (sample == nullptr) sample = &r.result[k];
-        } else if (!any_err) {
-          first_err = st;
-          any_err = true;
+  settle_wave(
+      jobs,
+      [&](Job& j, const Status& fenced) {
+        // Zombie wave: nothing is acked, nothing is journaled. (The
+        // caller retries and observes the new configuration; survivors
+        // holding the un-acked application are rolled back by
+        // anti-entropy, exactly like a kNoQuorum refusal.)
+        for (u64 p : j.positions) emit(p, fenced, nullptr);
+        groups_[j.group].dirty = true;
+      },
+      [&](Job& j) {
+        ReplicaGroup& g = groups_[j.group];
+        core::LogRecord rec;
+        rec.kind = kind;
+        for (u64 k = 0; k < j.positions.size(); ++k) {
+          u32 acked = 0;
+          const Partial* sample = nullptr;
+          Status first_err;
+          bool any_err = false;
+          for (const auto& c : j.calls) {
+            const Status& st = c.failure.has_value() ? *c.failure : status_of(c.out[k]);
+            if (st.ok()) {
+              ++acked;
+              if (sample == nullptr) sample = &c.out[k];
+            } else if (!any_err) {
+              first_err = st;
+              any_err = true;
+            }
+          }
+          if (acked >= quorum) {
+            emit(j.positions[k], status_of(*sample), sample);
+            rec.add(j.sub[k]);
+            // A live member missed a write the group acked: its contents
+            // now lag the journal until anti-entropy repairs it.
+            if (any_err) g.dirty = true;
+          } else if (acked > 0) {
+            emit(j.positions[k], no_quorum_status(j.group, acked), nullptr);
+            g.dirty = true;
+          } else {
+            emit(j.positions[k], first_err, nullptr);
+          }
         }
-      }
-      if (acked >= quorum) {
-        emit(j.positions[k], status_of(*sample), sample);
-        rec.add(j.sub[k]);
-        // A live member missed a write the group acked: its contents
-        // now lag the journal until anti-entropy repairs it.
-        if (any_err) g.dirty = true;
-      } else if (acked > 0) {
-        emit(j.positions[k], no_quorum_status(j.group, acked), nullptr);
-        g.dirty = true;
-      } else {
-        emit(j.positions[k], first_err, nullptr);
-      }
-    }
-    if (!rec.ops.empty() || !rec.keys.empty()) {
-      const bool accepted = journal_acked(j.group, j.epoch, std::move(rec));
-      PIM_CHECK(accepted, "journal refused an ack the merge just fenced-checked");
-    }
-    for (MemberRun& r : j.runs) observe_shard_health(r.slot, r.failure.has_value());
-  }
+        if (!rec.ops.empty() || !rec.keys.empty()) {
+          const bool accepted = journal_acked(j.group, j.epoch, std::move(rec));
+          PIM_CHECK(accepted, "journal refused an ack the merge just fenced-checked");
+        }
+      });
 }
 
 std::vector<Status> ShardedPimStore::batch_upsert(

@@ -7,13 +7,13 @@
 // the per-rack survivability built by PRs 1–5 into a survivable fleet:
 //
 //  * Two-phase batch split/merge: every batch is split by the route
-//    table, the per-shard sub-batches run concurrently on per-shard
-//    worker threads (shard machines share no state, so the merge is
-//    bit-identical to running shards sequentially), and per-key Status
-//    results are reassembled in the caller's order. A dead group yields
-//    kShardDown for exactly its keys; a dead module inside a live shard
-//    yields kUnavailable for exactly its keys (the PR 3 partial-batch
-//    contract, composed one level up). A batch is never wedged.
+//    table, the per-shard sub-batches run at once as one wave on the
+//    store's own par::ThreadPool (shard machines share no state, so the
+//    merge is bit-identical to running shards sequentially), and per-key
+//    Status results are reassembled in the caller's order. A dead group
+//    yields kShardDown for exactly its keys; a dead module inside a live
+//    shard yields kUnavailable for exactly its keys (the PR 3 partial-
+//    batch contract, composed one level up). A batch is never wedged.
 //
 //  * Replication (ShardOptions::replication = R, default 1 == PR 6
 //    behavior bit-for-bit): writes dispatch to every live member of the
@@ -75,11 +75,12 @@
 #include <utility>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/status.hpp"
 #include "common/types.hpp"
 #include "core/pim_skiplist.hpp"
+#include "parallel/thread_pool.hpp"
 #include "shard/replica_group.hpp"
-#include "shard/shard_workers.hpp"
 #include "sim/fault.hpp"
 #include "sim/machine.hpp"
 
@@ -117,9 +118,10 @@ struct ShardOptions {
   Key domain_lo = 0;
   Key domain_hi = 1'000'000'000;
   u64 seed = 0x5AA4D5EEDull;
-  /// Fan sub-batches out to per-shard worker threads. Off = run shards
-  /// inline in slot order; results are identical (disjoint state), so
-  /// tests can diff the two dispatch modes directly.
+  /// Run a wave's shard calls at once on the store's thread pool (one
+  /// lane per slot). Off = the same pool with no workers, which runs the
+  /// calls one after another on the calling thread; results are identical
+  /// (disjoint state), so tests can diff the two dispatch modes directly.
   bool parallel_dispatch = true;
   /// Applied to every shard machine (breaker, queue bounds, hedging —
   /// the PR 3 knobs compose per shard).
@@ -503,6 +505,7 @@ class ShardedPimStore {
   // ----- routing / dispatch -----
   u32 route_index(Key key) const;  // index into routes_
   Key route_top(u64 route_idx) const;  // exclusive hi of routes_[idx]
+  u32 owning_group(Key key) const { return routes_[route_index(key)].group; }
   /// Member slot a read of this group should go to: the primary when
   /// live, else the next live member in rank order (wrapping); kNoSlot
   /// when every member is dead. `tried` is a bitmask of member INDEXES
@@ -525,12 +528,48 @@ class ShardedPimStore {
   u64 dispatch_epoch(u32 group);
   /// Quorum read path (ShardOptions::quorum_reads && write_quorum > 1).
   std::vector<GetResult> quorum_batch_get(std::span<const Key> keys);
-  /// Groups positions by owning replica group: wave[k] = (group, positions).
-  template <typename KeyOf>
-  std::vector<std::pair<u32, std::vector<u64>>> split_by_group(u64 n, KeyOf&& key_of) const;
-  /// Runs one closure per (slot, job) pair — per-shard worker threads or
-  /// inline in slot order — then joins.
-  void run_wave(std::vector<std::pair<u32, std::function<void()>>> jobs);
+  /// Buckets positions [0, n) by group_of(i): (group, positions) pairs in
+  /// first-seen group order, each group's positions ascending.
+  template <typename GroupOf>
+  std::vector<std::pair<u32, std::vector<u64>>> split_by_group(u64 n, GroupOf&& group_of) const;
+
+  // ----- the shard wave -----
+  // Every fan-out runs as waves of one shape. The op splits its batch
+  // into jobs, one per group, each capturing the group's dispatch_epoch
+  // and naming the member slots it calls; run_wave runs every call at
+  // once; settle_wave refuses stale jobs, hands the rest to the op's
+  // merge and then feeds the shard breaker. Each op writes only its own
+  // split and merge.
+
+  /// One member call of a wave: the slot it runs on, what it returned,
+  /// and the StatusError it threw instead, if any.
+  template <typename Out>
+  struct WaveCall {
+    u32 slot = 0;
+    Out out{};
+    std::optional<Status> failure;
+  };
+  /// One group's share of a wave: the group, the fence epoch captured at
+  /// dispatch and its member calls (none when the op answers the job
+  /// without a member). Each op derives its job type and adds its split.
+  template <typename Out>
+  struct WaveJob {
+    using Call = WaveCall<Out>;
+    u32 group = 0;
+    u64 epoch = 0;
+    std::vector<Call> calls;
+  };
+  /// Runs fn(member list, job) for every call of every job at once on
+  /// pool_ and records a StatusError per call. fn runs concurrently, so
+  /// it may only read shared state.
+  template <typename Job, typename Fn>
+  void run_wave(std::vector<Job>& jobs, Fn&& fn);
+  /// Settles a run wave job by job, in dispatch order. A job whose group
+  /// moved its fence epoch since dispatch is a zombie: ++fence_refusals_,
+  /// refuse(job, kFencedEpoch status), and its calls feed nothing. Any
+  /// other job goes to merge(job), and then each call feeds the breaker.
+  template <typename Job, typename Refuse, typename Merge>
+  void settle_wave(std::vector<Job>& jobs, Refuse&& refuse, Merge&& merge);
   /// Post-wave health: converts machine-level verdicts (all modules
   /// down) and repeated sub-batch escapes into a shard fail-stop.
   void observe_shard_health(u32 slot, bool wave_failed);
@@ -548,6 +587,18 @@ class ShardedPimStore {
             typename Emit>
   void replicated_write(std::span<const Sub> items, core::LogRecord::Kind kind,
                         Run&& run, StatusOf&& status_of, Emit&& emit);
+  /// batch_successor (forward) and batch_predecessor: one stitch loop.
+  std::vector<NearResult> batch_near(std::span<const Key> keys, bool forward);
+  /// Splits every query by the route table into clamped pieces, one job
+  /// per serving slot (Job has a `pieces` vector of RangePiece); a piece
+  /// whose group is all dead calls down(query, kShardDown status).
+  template <typename Job, typename Down>
+  std::vector<Job> split_ranges(std::span<const RangeQuery> queries, Down&& down);
+  /// range_aggregate (batched = false: one range_count_broadcast per
+  /// piece) and batch_range_aggregate (the batched engine); their model
+  /// costs differ, the split and merge do not.
+  std::vector<RangeResult> aggregate_ranges(std::span<const RangeQuery> queries,
+                                            bool batched);
 
   // ----- migration / repair internals -----
   /// What a migration and a repair share: a chunked copy of a group's
@@ -591,7 +642,9 @@ class ShardedPimStore {
   std::vector<Shard> slots_;
   std::vector<ReplicaGroup> groups_;
   std::vector<RouteEntry> routes_;
-  ShardWorkers workers_;
+  /// Runs the waves: slots - 1 workers plus the calling thread, so a wave
+  /// runs every member at once; no workers without parallel_dispatch.
+  par::ThreadPool pool_;
   std::optional<MigrationState> migration_;
   std::optional<RepairState> repair_;
   u32 anti_entropy_cursor_ = 0;  // next group the audit visits
@@ -605,15 +658,15 @@ class ShardedPimStore {
   u64 quorum_read_resolves_ = 0;
 };
 
-template <typename KeyOf>
+template <typename GroupOf>
 std::vector<std::pair<u32, std::vector<u64>>> ShardedPimStore::split_by_group(
-    u64 n, KeyOf&& key_of) const {
+    u64 n, GroupOf&& group_of) const {
   // Positions are appended in caller order, so each group is ascending —
   // the merge phase relies on that for journal record order.
   std::vector<std::pair<u32, std::vector<u64>>> out;
   std::vector<u32> bucket_of(groups_.size(), static_cast<u32>(-1));
   for (u64 i = 0; i < n; ++i) {
-    const u32 g = routes_[route_index(key_of(i))].group;
+    const u32 g = group_of(i);
     if (bucket_of[g] == static_cast<u32>(-1)) {
       bucket_of[g] = static_cast<u32>(out.size());
       out.emplace_back(g, std::vector<u64>{});
@@ -621,6 +674,53 @@ std::vector<std::pair<u32, std::vector<u64>>> ShardedPimStore::split_by_group(
     out[bucket_of[g]].second.push_back(i);
   }
   return out;
+}
+
+template <typename Job, typename Fn>
+void ShardedPimStore::run_wave(std::vector<Job>& jobs, Fn&& fn) {
+  // A wave calls each slot at most once: a read sends one call to each
+  // group's serving member, a write one to each live member of its group,
+  // and the range ops merge a slot's pieces into one job. The pool runs
+  // the calls at the same time, and two calls on one slot would drive
+  // one Machine from two threads.
+  std::vector<std::pair<const Job*, typename Job::Call*>> calls;
+  std::vector<bool> called(slots_.size(), false);
+  for (Job& j : jobs) {
+    for (auto& c : j.calls) {
+      PIM_CHECK(!called[c.slot], "a shard wave called one slot twice");
+      called[c.slot] = true;
+      calls.emplace_back(&j, &c);
+    }
+  }
+  pool_.run_batch(
+      [&](u32 i) {
+        const auto [job, call] = calls[i];
+        try {
+          call->out = fn(*slots_[call->slot].list, *job);
+        } catch (const StatusError& e) {
+          call->failure = e.status();
+        }
+      },
+      static_cast<u32>(calls.size()));
+}
+
+template <typename Job, typename Refuse, typename Merge>
+void ShardedPimStore::settle_wave(std::vector<Job>& jobs, Refuse&& refuse,
+                                  Merge&& merge) {
+  for (Job& j : jobs) {
+    const u64 now = groups_[j.group].fence_epoch;
+    if (now != j.epoch) {
+      // The group changed configuration between dispatch and merge: the
+      // answers come from a configuration that no longer exists.
+      ++fence_refusals_;
+      refuse(j, fenced_status(j.group, j.epoch, now));
+      continue;
+    }
+    merge(j);
+    // After the merge and its journal append: a breaker kill bumps the
+    // group's fence epoch, and journal_acked would refuse the ack.
+    for (const auto& c : j.calls) observe_shard_health(c.slot, c.failure.has_value());
+  }
 }
 
 }  // namespace pim::shard

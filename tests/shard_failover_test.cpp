@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "common/error.hpp"
@@ -146,38 +147,98 @@ TEST(ShardedStore, RouterAndBatchOpsMatchReference) {
 }
 
 TEST(ShardedStore, ParallelAndSerialDispatchAgree) {
-  ShardedPimStore par_store(small_opts(/*parallel=*/true));
-  ShardedPimStore ser_store(small_opts(/*parallel=*/false));
-  rnd::Xoshiro256ss rng(0xD15BA7C4u);
-  const auto pairs = test::make_sorted_pairs(800, rng);
-  par_store.build(pairs);
-  ser_store.build(pairs);
+  // Every fan-out, first at R = 1, then at R = 2 with quorum writes and
+  // quorum reads (quorum_batch_get and the multi-member write merge).
+  for (const u32 replication : {1u, 2u}) {
+    SCOPED_TRACE("replication " + std::to_string(replication));
+    ShardOptions opts = small_opts(/*parallel=*/true);
+    opts.replication = replication;
+    opts.write_quorum = replication;
+    opts.quorum_reads = replication > 1;
+    ShardedPimStore par_store(opts);
+    opts.parallel_dispatch = false;
+    ShardedPimStore ser_store(opts);
+    rnd::Xoshiro256ss rng(0xD15BA7C4u);
+    const auto pairs = test::make_sorted_pairs(800, rng);
+    par_store.build(pairs);
+    ser_store.build(pairs);
+    auto some_key = [&] {
+      return rng() % 2 == 0 ? pairs[rng() % pairs.size()].first
+                            : static_cast<Key>(rng.range(0, 1'000'000'000));
+    };
 
-  for (u32 round = 0; round < 4; ++round) {
-    std::vector<std::pair<Key, Value>> ups;
-    for (u32 i = 0; i < 64; ++i) ups.emplace_back(rng.range(0, 1'000'000'000), rng());
-    const auto a = par_store.batch_upsert(ups);
-    const auto b = ser_store.batch_upsert(ups);
-    for (u64 i = 0; i < ups.size(); ++i) EXPECT_EQ(a[i].code(), b[i].code());
+    for (u32 round = 0; round < 4; ++round) {
+      std::vector<std::pair<Key, Value>> ups;
+      for (u32 i = 0; i < 64; ++i) ups.emplace_back(rng.range(0, 1'000'000'000), rng());
+      const auto a = par_store.batch_upsert(ups);
+      const auto b = ser_store.batch_upsert(ups);
+      for (u64 i = 0; i < ups.size(); ++i) EXPECT_EQ(a[i].code(), b[i].code());
 
-    std::vector<Key> gets;
-    for (u32 i = 0; i < 64; ++i) gets.push_back(rng.range(0, 1'000'000'000));
-    const auto ga = par_store.batch_get(gets);
-    const auto gb = ser_store.batch_get(gets);
-    for (u64 i = 0; i < gets.size(); ++i) {
-      EXPECT_EQ(ga[i].status.code(), gb[i].status.code());
-      EXPECT_EQ(ga[i].found, gb[i].found);
-      EXPECT_EQ(ga[i].value, gb[i].value);
+      std::vector<std::pair<Key, Value>> upd;
+      for (u32 i = 0; i < 32; ++i) upd.emplace_back(some_key(), rng());
+      const auto ua = par_store.batch_update(upd);
+      const auto ub = ser_store.batch_update(upd);
+      for (u64 i = 0; i < upd.size(); ++i) {
+        EXPECT_EQ(ua[i].status.code(), ub[i].status.code());
+        EXPECT_EQ(ua[i].found, ub[i].found);
+      }
+
+      std::vector<Key> dels;
+      for (u32 i = 0; i < 16; ++i) dels.push_back(some_key());
+      const auto da = par_store.batch_delete(dels);
+      const auto db = ser_store.batch_delete(dels);
+      for (u64 i = 0; i < dels.size(); ++i) {
+        EXPECT_EQ(da[i].status.code(), db[i].status.code());
+        EXPECT_EQ(da[i].found, db[i].found);
+      }
+
+      std::vector<Key> gets;
+      for (u32 i = 0; i < 64; ++i) gets.push_back(rng.range(0, 1'000'000'000));
+      const auto ga = par_store.batch_get(gets);
+      const auto gb = ser_store.batch_get(gets);
+      for (u64 i = 0; i < gets.size(); ++i) {
+        EXPECT_EQ(ga[i].status.code(), gb[i].status.code());
+        EXPECT_EQ(ga[i].found, gb[i].found);
+        EXPECT_EQ(ga[i].value, gb[i].value);
+      }
+
+      for (const bool forward : {true, false}) {
+        const auto sa = forward ? par_store.batch_successor(gets)
+                                : par_store.batch_predecessor(gets);
+        const auto sb = forward ? ser_store.batch_successor(gets)
+                                : ser_store.batch_predecessor(gets);
+        for (u64 i = 0; i < gets.size(); ++i) {
+          EXPECT_EQ(sa[i].status.code(), sb[i].status.code());
+          EXPECT_EQ(sa[i].found, sb[i].found);
+          EXPECT_EQ(sa[i].key, sb[i].key);
+        }
+      }
+
+      std::vector<ShardedPimStore::RangeQuery> queries;
+      for (u32 i = 0; i < 8; ++i) {
+        const Key lo = rng.range(0, 1'000'000'000);
+        queries.push_back({lo, lo + static_cast<Key>(rng.range(0, 400'000'000))});
+      }
+      const auto ra = par_store.range_aggregate(queries[0].lo, queries[0].hi);
+      const auto rb = ser_store.range_aggregate(queries[0].lo, queries[0].hi);
+      EXPECT_EQ(ra.status.code(), rb.status.code());
+      EXPECT_EQ(ra.agg.count, rb.agg.count);
+      EXPECT_EQ(ra.agg.sum, rb.agg.sum);
+      const auto qa = par_store.batch_range_aggregate(queries);
+      const auto qb = ser_store.batch_range_aggregate(queries);
+      for (u64 i = 0; i < queries.size(); ++i) {
+        EXPECT_EQ(qa[i].status.code(), qb[i].status.code());
+        EXPECT_EQ(qa[i].agg.count, qb[i].agg.count);
+        EXPECT_EQ(qa[i].agg.sum, qb[i].agg.sum);
+      }
     }
-
-    const auto sa = par_store.batch_successor(gets);
-    const auto sb = ser_store.batch_successor(gets);
-    for (u64 i = 0; i < gets.size(); ++i) {
-      EXPECT_EQ(sa[i].found, sb[i].found);
-      EXPECT_EQ(sa[i].key, sb[i].key);
-    }
+    const auto ca = par_store.range_collect(kMinKey, kMaxKey);
+    const auto cb = ser_store.range_collect(kMinKey, kMaxKey);
+    EXPECT_EQ(ca.status.code(), cb.status.code());
+    EXPECT_EQ(ca.pairs, cb.pairs);
+    EXPECT_EQ(par_store.size(), ser_store.size());
+    EXPECT_EQ(par_store.quorum_read_resolves(), ser_store.quorum_read_resolves());
   }
-  EXPECT_EQ(par_store.size(), ser_store.size());
 }
 
 TEST(ShardedStore, KillFailsExactlyItsKeysAndFailoverLosesNoAckedWrite) {
