@@ -21,8 +21,6 @@ constexpr u32 ceil_log2(u64 x) {
 /// ceil(a / b) for b > 0.
 constexpr u64 ceil_div(u64 a, u64 b) { return (a + b - 1) / b; }
 
-constexpr bool is_pow2(u64 x) { return x != 0 && (x & (x - 1)) == 0; }
-
 constexpr u64 next_pow2(u64 x) { return x <= 1 ? 1 : u64{1} << ceil_log2(x); }
 
 /// log2(P) rounded to at least 1; the paper's h_low and per-operation batch

@@ -275,7 +275,6 @@ class PimSkipList {
   /// needs live to serve that key (kUnavailable otherwise).
   ModuleId home_module(Key key) const { return placement_.module_of(key, 0); }
   u32 h_low() const { return h_low_; }
-  u32 top_level() const { return top_level_; }
   sim::Machine& machine() { return machine_; }
 
   /// Accounted local-memory words of module m: its lower-part nodes, its
@@ -319,11 +318,6 @@ class PimSkipList {
   Node& node_at(GPtr p);
   const Node& node_at(GPtr p) const;
   GPtr lower_gptr(Key key, u32 level) const;
-  /// Module that must execute a task touching p (replicated nodes are
-  /// readable locally by `executing`).
-  ModuleId route_of(GPtr p, ModuleId executing) const {
-    return p.is_replicated() ? executing : p.module;
-  }
 
   void probe_touch(GPtr p);
   void probe_reset();

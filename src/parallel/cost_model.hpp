@@ -11,8 +11,6 @@
 //        work  = sum of per-iteration work,
 //        depth = ceil(log2 n)   (the binary spawn tree)
 //              + max over iterations of per-iteration depth.
-//  * parallel_invoke(f, g, ...) contributes sum of works and
-//    1 + max of depths.
 //
 // The accounting is independent of how many host threads actually execute
 // the loop, so measured work/depth are deterministic and reproducible.

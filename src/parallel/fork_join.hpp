@@ -1,8 +1,7 @@
-// Fork-join primitives with structural work/depth accounting.
+// Fork-join loop with structural work/depth accounting.
 //
 // parallel_for(n, body):  work  = Σ_i work(body(i)) + n   (spawn overhead)
 //                         depth = ceil(log2 n) + max_i depth(body(i))
-// parallel_invoke(f...):  work  = Σ work(f),  depth = 1 + max depth(f)
 //
 // Execution is chunked over the process thread pool; the accounting above
 // is computed exactly regardless of chunking, so measured CPU work/depth
@@ -93,36 +92,6 @@ void parallel_for(u64 n, Body&& body, u64 grain = 1) {
     max_depth = std::max(max_depth, cc.max_iter_depth);
   }
   parent.add_region(total_work, ceil_log2(n) + max_depth);
-}
-
-/// Runs the given callables as parallel tasks; joins all of them.
-///
-/// Execution is SERIAL BY DESIGN: the callables run one after another on
-/// the calling thread, while the accounting is fork-join (depth = 1 + max
-/// child depth). Invoke arms are coarse — each typically contains a
-/// parallel_for that already saturates the pool — so spawning them on
-/// workers would only add handoff latency and a nested-region inline
-/// fallback. Do not "fix" this by dispatching to run_batch.
-template <typename... Fns>
-void parallel_invoke(Fns&&... fns) {
-  constexpr u32 kCount = sizeof...(Fns);
-  CostCounters child[kCount];
-  u32 idx = 0;
-  // Execute sequentially on this thread (tasks are coarse; the loop-level
-  // parallelism inside them uses the pool). Accounting is fork-join.
-  (
-      [&] {
-        CostScope scope(child[idx]);
-        fns();
-        ++idx;
-      }(),
-      ...);
-  u64 total = 0, deepest = 0;
-  for (const auto& c : child) {
-    total += c.work;
-    deepest = std::max(deepest, c.depth);
-  }
-  current_cost().add_region(total, 1 + deepest);
 }
 
 }  // namespace pim::par

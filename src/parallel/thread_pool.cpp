@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <exception>
 
 namespace pim::par {
 namespace {
@@ -47,7 +48,16 @@ void ThreadPool::drain_batch(Batch& b) {
   const u32 grain = b.grain;
   for (u32 base = b.next.fetch_add(grain); base < b.count; base = b.next.fetch_add(grain)) {
     const u32 end = b.count - base < grain ? b.count : base + grain;
-    for (u32 i = base; i < end; ++i) (*b.task)(i);
+    try {
+      for (u32 i = base; i < end; ++i) (*b.task)(i);
+    } catch (...) {
+      // Keep the first exception for the caller. The chunk still counts
+      // as done, or the caller would wait for it forever; its remaining
+      // indices are skipped.
+      if (!b.failed.exchange(true, std::memory_order_acq_rel)) {
+        b.error = std::current_exception();
+      }
+    }
     b.done.fetch_add(end - base, std::memory_order_acq_rel);
   }
 }
@@ -96,6 +106,10 @@ void ThreadPool::run_batch(const std::function<void(u32)>& task, u32 count, u32 
            batch.refs.load(std::memory_order_acquire) == 0;
   });
   batch_ = nullptr;
+  lock.unlock();
+  // Rethrown only now: no worker can touch `batch` any more, and the
+  // slot is free for the next batch.
+  if (batch.error) std::rethrow_exception(batch.error);
 }
 
 void ThreadPool::worker_loop() {

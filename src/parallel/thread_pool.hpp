@@ -17,6 +17,7 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <exception>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -55,6 +56,10 @@ class ThreadPool {
   /// million atomic RMWs. Pass a larger grain for very cheap bodies —
   /// claims stay contiguous, preserving each lane's cache locality.
   ///
+  /// A task that throws, on any lane, skips the rest of its chunk; the
+  /// other chunks still run, and once every lane has let go of the batch
+  /// the first exception is rethrown here, on the calling thread.
+  ///
   /// Note this dispatch deliberately wakes ALL workers (notify_all) even
   /// when the batch has few chunks; idle workers re-check the epoch and
   /// go back to sleep. A targeted wake would need per-worker state and
@@ -73,10 +78,13 @@ class ThreadPool {
     std::atomic<u32> next{0};
     std::atomic<u32> done{0};
     std::atomic<u32> refs{0};  // workers currently holding a pointer
+    std::atomic<bool> failed{false};  // a task threw; `error` is set
+    std::exception_ptr error;         // the first throw, for the caller
   };
 
   /// Claims [base, base+grain) ranges off `b.next` until the batch is
-  /// exhausted. Shared by workers and the calling thread.
+  /// exhausted. Shared by workers and the calling thread. Never throws:
+  /// a task's exception is kept in the batch.
   static void drain_batch(Batch& b);
 
   void worker_loop();

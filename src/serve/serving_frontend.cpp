@@ -1,8 +1,8 @@
 #include "serve/serving_frontend.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <numeric>
-#include <unordered_map>
 #include <utility>
 
 #include "common/error.hpp"
@@ -11,77 +11,9 @@ namespace pim::serve {
 
 namespace {
 
-/// Dedups one op class into a unique sorted payload vector and points
-/// every PendingOp::position at its payload slot. First occurrence (by
-/// ticket — the ops arrive in ticket order) wins for write classes,
-/// which is exactly the store's batch contract; for read classes the
-/// winner is irrelevant since every waiter fans out of the same result.
-/// Returns the number of coalesced duplicates.
-template <typename Op, typename Payload, typename MakePayload,
-          typename KeyOfPayload>
-u64 stage_unique(std::vector<Op>& ops, std::vector<Payload>& uniq,
-                 MakePayload&& make, KeyOfPayload&& key_of) {
-  u64 coalesced = 0;
-  std::unordered_map<Key, u64> first_pos;
-  first_pos.reserve(ops.size() * 2);
-  for (auto& op : ops) {
-    auto [it, inserted] = first_pos.try_emplace(op.key, uniq.size());
-    if (inserted) {
-      uniq.push_back(make(op));
-    } else {
-      ++coalesced;
-    }
-    op.position = it->second;
-  }
-  // Sort the unique payloads by key and remap every op's position.
-  std::vector<u64> perm(uniq.size());
-  std::iota(perm.begin(), perm.end(), u64{0});
-  std::sort(perm.begin(), perm.end(), [&](u64 a, u64 b) {
-    return key_of(uniq[a]) < key_of(uniq[b]);
-  });
-  std::vector<u64> rank(uniq.size());
-  std::vector<Payload> sorted;
-  sorted.reserve(uniq.size());
-  for (u64 i = 0; i < perm.size(); ++i) {
-    rank[perm[i]] = i;
-    sorted.push_back(std::move(uniq[perm[i]]));
-  }
-  uniq = std::move(sorted);
-  for (auto& op : ops) op.position = rank[op.position];
-  return coalesced;
-}
-
 u64 saturating_sub(u64 a, u64 b) { return a > b ? a - b : 0; }
 
 }  // namespace
-
-u64 ServingFrontEnd::Accum::oldest_submit_clock() const {
-  u64 oldest_ticket = ~u64{0};
-  u64 oldest_clock = ~u64{0};
-  auto consider = [&](const auto& dq) {
-    if (!dq.empty() && dq.front().ticket < oldest_ticket) {
-      oldest_ticket = dq.front().ticket;
-      oldest_clock = dq.front().submit_clock;
-    }
-  };
-  consider(upserts);
-  consider(erases);
-  consider(gets);
-  consider(succs);
-  return oldest_clock;
-}
-
-u64 ServingFrontEnd::Accum::oldest_ticket() const {
-  u64 oldest = ~u64{0};
-  auto consider = [&](const auto& dq) {
-    if (!dq.empty()) oldest = std::min(oldest, dq.front().ticket);
-  };
-  consider(upserts);
-  consider(erases);
-  consider(gets);
-  consider(succs);
-  return oldest;
-}
 
 ServingFrontEnd::ServingFrontEnd(shard::ShardedPimStore& store,
                                  FrontEndOptions opts)
@@ -108,53 +40,41 @@ ServingFrontEnd::~ServingFrontEnd() { stop(); }
 // ---------------- client API ----------------
 
 template <typename Reply>
-void ServingFrontEnd::reject(std::promise<Reply>& p, Status status) {
-  Reply reply;
-  reply.status = std::move(status);
-  p.set_value(std::move(reply));
-}
-
-template <typename Reply>
-std::future<Reply> ServingFrontEnd::enqueue(SubmissionQueue<Reply>& queue,
-                                            Key key, Value value) {
-  PendingOp<Reply> op;
-  op.key = key;
-  op.value = value;
-  std::future<Reply> fut = op.promise.get_future();
+std::future<Reply> ServingFrontEnd::enqueue(Key key, Value value) {
+  Op op{key, value, 0, 0, std::promise<Reply>()};
+  auto& promise = std::get<std::promise<Reply>>(op.promise);
+  std::future<Reply> fut = promise.get_future();
+  auto reject = [&](StatusCode code, const char* why) {
+    stat_rejected_.fetch_add(1, std::memory_order_relaxed);
+    Reply reply;
+    reply.status = Status(code, why);
+    promise.set_value(std::move(reply));
+    return std::move(fut);
+  };
 
   if (!accepting_.load(std::memory_order_acquire)) {
-    stat_rejected_.fetch_add(1, std::memory_order_relaxed);
-    reject(op.promise,
-           Status(StatusCode::kUnavailable, "serving front end is stopped"));
-    return fut;
+    return reject(StatusCode::kUnavailable, "serving front end is stopped");
   }
   if (opts_.max_queue_ops > 0 &&
       pending_ops_.load(std::memory_order_relaxed) >= opts_.max_queue_ops) {
-    stat_rejected_.fetch_add(1, std::memory_order_relaxed);
-    reject(op.promise, Status(StatusCode::kResourceExhausted,
-                              "serving queue is full (max_queue_ops)"));
-    return fut;
+    return reject(StatusCode::kResourceExhausted,
+                  "serving queue is full (max_queue_ops)");
   }
-
   {
-    std::lock_guard lock(queue.mu);
-    if (queue.closed) {
+    std::lock_guard lock(queue_mu_);
+    if (queue_closed_) {
       // stop() won the race: the batcher has already done (or is doing)
-      // its final drain of this queue — completing here keeps the
-      // "no op is ever lost" invariant without reopening anything.
-      stat_rejected_.fetch_add(1, std::memory_order_relaxed);
-      reject(op.promise,
-             Status(StatusCode::kUnavailable, "serving front end is stopped"));
-      return fut;
+      // its final drain — completing here keeps the "no op is ever lost"
+      // invariant without reopening anything.
+      return reject(StatusCode::kUnavailable, "serving front end is stopped");
     }
-    // Ticket assignment under the queue mutex keeps each queue in ticket
-    // order (the atomic alone orders tickets, not the pushes).
-    op.ticket = ticket_.fetch_add(1, std::memory_order_relaxed);
+    // Stamped under the queue mutex, so the queue's submit clocks are
+    // non-decreasing and its front is always the oldest op.
     op.submit_clock = clock_.load(std::memory_order_relaxed);
     pending_ops_.fetch_add(1, std::memory_order_relaxed);
     queued_ops_.fetch_add(1, std::memory_order_release);
     stat_accepted_.fetch_add(1, std::memory_order_relaxed);
-    queue.q.push_back(std::move(op));
+    queue_.push_back(std::move(op));
   }
   // Empty critical section pairs with the batcher's predicate check so
   // the notify can't slip between its test and its wait.
@@ -164,16 +84,16 @@ std::future<Reply> ServingFrontEnd::enqueue(SubmissionQueue<Reply>& queue,
 }
 
 std::future<GetReply> ServingFrontEnd::submit_get(Key key) {
-  return enqueue(get_q_, key, /*value=*/0);
+  return enqueue<GetReply>(key, /*value=*/0);
 }
 std::future<UpsertReply> ServingFrontEnd::submit_upsert(Key key, Value value) {
-  return enqueue(upsert_q_, key, value);
+  return enqueue<UpsertReply>(key, value);
 }
 std::future<EraseReply> ServingFrontEnd::submit_erase(Key key) {
-  return enqueue(erase_q_, key, /*value=*/0);
+  return enqueue<EraseReply>(key, /*value=*/0);
 }
 std::future<SuccessorReply> ServingFrontEnd::submit_successor(Key key) {
-  return enqueue(succ_q_, key, /*value=*/0);
+  return enqueue<SuccessorReply>(key, /*value=*/0);
 }
 
 // ---------------- lifecycle ----------------
@@ -219,120 +139,82 @@ ServingFrontEnd::Stats ServingFrontEnd::stats() const {
 
 // ---------------- batcher ----------------
 
-void ServingFrontEnd::harvest(Accum& accum) {
-  u64 moved = 0;
-  auto drain_queue = [&moved](auto& queue, auto& dq) {
-    std::vector<std::decay_t<decltype(queue.q[0])>> taken;
-    {
-      std::lock_guard lock(queue.mu);
-      taken.swap(queue.q);
-    }
-    moved += taken.size();
-    for (auto& op : taken) dq.push_back(std::move(op));
-  };
-  drain_queue(upsert_q_, accum.upserts);
-  drain_queue(erase_q_, accum.erases);
-  drain_queue(get_q_, accum.gets);
-  drain_queue(succ_q_, accum.succs);
-  if (moved > 0) queued_ops_.fetch_sub(moved, std::memory_order_release);
+void ServingFrontEnd::harvest(std::deque<Op>& accum, bool close) {
+  std::vector<Op> taken;
+  {
+    std::lock_guard lock(queue_mu_);
+    queue_closed_ = queue_closed_ || close;
+    taken.swap(queue_);
+  }
+  if (taken.empty()) return;
+  queued_ops_.fetch_sub(taken.size(), std::memory_order_release);
+  std::move(taken.begin(), taken.end(), std::back_inserter(accum));
 }
 
-void ServingFrontEnd::close_queues(Accum& accum) {
-  u64 moved = 0;
-  auto close_one = [&moved](auto& queue, auto& dq) {
-    std::vector<std::decay_t<decltype(queue.q[0])>> taken;
-    {
-      std::lock_guard lock(queue.mu);
-      queue.closed = true;
-      taken.swap(queue.q);
-    }
-    moved += taken.size();
-    for (auto& op : taken) dq.push_back(std::move(op));
-  };
-  close_one(upsert_q_, accum.upserts);
-  close_one(erase_q_, accum.erases);
-  close_one(get_q_, accum.gets);
-  close_one(succ_q_, accum.succs);
-  if (moved > 0) queued_ops_.fetch_sub(moved, std::memory_order_release);
-}
-
-std::unique_ptr<ServingFrontEnd::Window> ServingFrontEnd::stage(Accum& accum) {
+std::unique_ptr<ServingFrontEnd::Window> ServingFrontEnd::stage(std::deque<Op>& accum) {
   auto w = std::make_unique<Window>();
   w->seq = next_seq_++;
+  // The oldest max_batch ops make the window; the rest stay queued.
+  const auto cut = accum.begin() + static_cast<std::ptrdiff_t>(
+                                       std::min<u64>(opts_.max_batch, accum.size()));
+  w->ops.assign(std::make_move_iterator(accum.begin()), std::make_move_iterator(cut));
+  accum.erase(accum.begin(), cut);
 
-  // Move the oldest max_batch ops (global ticket order across classes)
-  // into the window; the rest stay queued for the next one.
-  u64 budget = opts_.max_batch;
-  while (budget > 0 && !accum.empty()) {
-    int cls = -1;
-    u64 best = ~u64{0};
-    auto consider = [&](const auto& dq, int id) {
-      if (!dq.empty() && dq.front().ticket < best) {
-        best = dq.front().ticket;
-        cls = id;
-      }
-    };
-    consider(accum.upserts, 0);
-    consider(accum.erases, 1);
-    consider(accum.gets, 2);
-    consider(accum.succs, 3);
-    switch (cls) {
-      case 0:
-        w->upserts.push_back(std::move(accum.upserts.front()));
-        accum.upserts.pop_front();
-        break;
-      case 1:
-        w->erases.push_back(std::move(accum.erases.front()));
-        accum.erases.pop_front();
-        break;
-      case 2:
-        w->gets.push_back(std::move(accum.gets.front()));
-        accum.gets.pop_front();
-        break;
-      default:
-        w->succs.push_back(std::move(accum.succs.front()));
-        accum.succs.pop_front();
-        break;
-    }
-    --budget;
-  }
-
-  // Dedup + sort each class; build the op -> batch-position maps.
+  // One pass in (class, key) order, stable on submission order: the first
+  // op of each run takes the next position of its class's batch, so every
+  // batch comes out unique and ascending and a duplicate write keeps its
+  // first submission (the store's batch contract); the run's later ops
+  // coalesce onto that position.
+  std::vector<u32> order(w->ops.size());
+  std::iota(order.begin(), order.end(), 0u);
+  std::stable_sort(order.begin(), order.end(), [&](u32 a, u32 b) {
+    const Op& x = w->ops[a];
+    const Op& y = w->ops[b];
+    return x.cls() != y.cls() ? x.cls() < y.cls() : x.key < y.key;
+  });
   u64 write_dups = 0;
   u64 read_dups = 0;
-  write_dups += stage_unique(
-      w->upserts, w->upsert_kvs,
-      [](const PendingOp<UpsertReply>& op) {
-        return std::pair<Key, Value>{op.key, op.value};
-      },
-      [](const std::pair<Key, Value>& kv) { return kv.first; });
-  write_dups += stage_unique(
-      w->erases, w->del_keys,
-      [](const PendingOp<EraseReply>& op) { return op.key; },
-      [](Key k) { return k; });
-  read_dups += stage_unique(
-      w->gets, w->get_keys,
-      [](const PendingOp<GetReply>& op) { return op.key; },
-      [](Key k) { return k; });
-  read_dups += stage_unique(
-      w->succs, w->succ_keys,
-      [](const PendingOp<SuccessorReply>& op) { return op.key; },
-      [](Key k) { return k; });
+  const Op* run = nullptr;
+  for (u32 i : order) {
+    Op& op = w->ops[i];
+    if (run != nullptr && run->cls() == op.cls() && run->key == op.key) {
+      op.position = run->position;
+      ++(op.cls() < kGet ? write_dups : read_dups);
+      continue;
+    }
+    run = &op;
+    switch (op.cls()) {
+      case kUpsert:
+        op.position = w->upserts.size();
+        w->upserts.emplace_back(op.key, op.value);
+        break;
+      case kErase:
+        op.position = w->erases.size();
+        w->erases.push_back(op.key);
+        break;
+      case kGet:
+        op.position = w->gets.size();
+        w->gets.push_back(op.key);
+        break;
+      default:
+        op.position = w->successors.size();
+        w->successors.push_back(op.key);
+        break;
+    }
+  }
 
+  // The batcher is the only writer of these counters.
   stat_windows_.fetch_add(1, std::memory_order_relaxed);
   stat_coalesced_writes_.fetch_add(write_dups, std::memory_order_relaxed);
   stat_coalesced_reads_.fetch_add(read_dups, std::memory_order_relaxed);
-  u64 ops = w->ops();
-  u64 prev = stat_max_window_.load(std::memory_order_relaxed);
-  while (ops > prev &&
-         !stat_max_window_.compare_exchange_weak(prev, ops,
-                                                 std::memory_order_relaxed)) {
+  if (w->ops.size() > stat_max_window_.load(std::memory_order_relaxed)) {
+    stat_max_window_.store(w->ops.size(), std::memory_order_relaxed);
   }
   return w;
 }
 
 void ServingFrontEnd::batcher_loop() {
-  Accum accum;
+  std::deque<Op> accum;  // harvested, not yet flushed: the group commit
   std::unique_lock lock(coord_mu_);
   for (;;) {
     batcher_cv_.wait(lock, [&] {
@@ -359,16 +241,16 @@ void ServingFrontEnd::batcher_loop() {
 
     // 2. Harvest arrivals into the group-commit accumulator.
     lock.unlock();
-    harvest(accum);
+    harvest(accum, /*close=*/false);
     lock.lock();
 
     if (accum.empty()) {
       if (stop_requested_ && exec_done_.empty() && !executing_ &&
           exec_in_ == nullptr) {
-        // Close the queues so no submission can slip in after the final
+        // Close the queue so no submission can slip in after the final
         // drain, then serve whatever that drain surfaced.
         lock.unlock();
-        close_queues(accum);
+        harvest(accum, /*close=*/true);
         while (!accum.empty()) {
           std::unique_ptr<Window> w = stage(accum);
           execute(*w);
@@ -386,10 +268,9 @@ void ServingFrontEnd::batcher_loop() {
 
     // 3. Group-commit flush decision.
     const bool exec_idle = !executing_ && exec_in_ == nullptr;
-    const u64 total = accum.total();
     const u64 waited = saturating_sub(clock_.load(std::memory_order_relaxed),
-                                      accum.oldest_submit_clock());
-    const bool full = total >= opts_.max_batch;
+                                      accum.front().submit_clock);
+    const bool full = accum.size() >= opts_.max_batch;
     const bool delayed = waited >= opts_.max_delay_rounds;
     if (!(stop_requested_ || full || exec_idle || delayed)) continue;
     if (full) {
@@ -446,10 +327,8 @@ void ServingFrontEnd::sample_clock_locked() {
   // undercounts slightly across a kill, which only shrinks latencies.
   if (now > fleet_rounds_seen_) {
     clock_.fetch_add(now - fleet_rounds_seen_, std::memory_order_relaxed);
-    fleet_rounds_seen_ = now;
-  } else {
-    fleet_rounds_seen_ = now;
   }
+  fleet_rounds_seen_ = now;
 }
 
 void ServingFrontEnd::execute(Window& w) {
@@ -458,36 +337,20 @@ void ServingFrontEnd::execute(Window& w) {
   // Fixed serialization order within the window: writes first (upserts,
   // then deletes), then reads — reads in window k observe window k's
   // acked writes. A class whose batch throws as a whole (admission
-  // control, drain-stuck escapes) fails all and only its own positions.
-  if (!w.upsert_kvs.empty()) {
+  // control, drain-stuck escapes) fails all and only its own ops.
+  for (u32 cls = kUpsert; cls < kClasses; ++cls) {
     try {
-      w.upsert_res = store_.batch_upsert(w.upsert_kvs);
+      if (cls == kUpsert && !w.upserts.empty()) {
+        w.upsert_res = store_.batch_upsert(w.upserts);
+      } else if (cls == kErase && !w.erases.empty()) {
+        w.erase_res = store_.batch_delete(w.erases);
+      } else if (cls == kGet && !w.gets.empty()) {
+        w.get_res = store_.batch_get(w.gets);
+      } else if (cls == kSuccessor && !w.successors.empty()) {
+        w.successor_res = store_.batch_successor(w.successors);
+      }
     } catch (const StatusError& e) {
-      w.upsert_res.assign(w.upsert_kvs.size(), e.status());
-    }
-  }
-  if (!w.del_keys.empty()) {
-    try {
-      w.del_res = store_.batch_delete(w.del_keys);
-    } catch (const StatusError& e) {
-      w.del_res.assign(w.del_keys.size(),
-                       shard::ShardedPimStore::FlagResult{e.status(), false});
-    }
-  }
-  if (!w.get_keys.empty()) {
-    try {
-      w.get_res = store_.batch_get(w.get_keys);
-    } catch (const StatusError& e) {
-      w.get_res.assign(w.get_keys.size(),
-                       shard::ShardedPimStore::GetResult{e.status(), false, 0});
-    }
-  }
-  if (!w.succ_keys.empty()) {
-    try {
-      w.succ_res = store_.batch_successor(w.succ_keys);
-    } catch (const StatusError& e) {
-      w.succ_res.assign(w.succ_keys.size(),
-                        shard::ShardedPimStore::NearResult{e.status(), false, 0});
+      w.failed[cls] = e.status();
     }
   }
   sample_clock_locked();
@@ -495,48 +358,23 @@ void ServingFrontEnd::execute(Window& w) {
 }
 
 void ServingFrontEnd::distribute(Window& w) {
-  const u64 done = w.ops();
-  auto latency = [&](u64 submit_clock) {
-    return saturating_sub(w.clock_after, submit_clock);
-  };
-  for (auto& op : w.upserts) {
-    UpsertReply r;
-    r.status = w.upsert_res[op.position];
-    r.batch_seq = w.seq;
-    r.latency_rounds = latency(op.submit_clock);
-    op.promise.set_value(std::move(r));
+  for (Op& op : w.ops) {
+    std::visit(
+        [&]<typename Reply>(std::promise<Reply>& promise) {
+          Reply r;
+          if (w.failed[op.cls()].ok()) {
+            w.fill(r, op.position);
+          } else {
+            r.status = w.failed[op.cls()];
+          }
+          r.batch_seq = w.seq;
+          r.latency_rounds = saturating_sub(w.clock_after, op.submit_clock);
+          promise.set_value(std::move(r));
+        },
+        op.promise);
   }
-  for (auto& op : w.erases) {
-    const auto& res = w.del_res[op.position];
-    EraseReply r;
-    r.status = res.status;
-    r.erased = res.found;
-    r.batch_seq = w.seq;
-    r.latency_rounds = latency(op.submit_clock);
-    op.promise.set_value(std::move(r));
-  }
-  for (auto& op : w.gets) {
-    const auto& res = w.get_res[op.position];
-    GetReply r;
-    r.status = res.status;
-    r.found = res.found;
-    r.value = res.value;
-    r.batch_seq = w.seq;
-    r.latency_rounds = latency(op.submit_clock);
-    op.promise.set_value(std::move(r));
-  }
-  for (auto& op : w.succs) {
-    const auto& res = w.succ_res[op.position];
-    SuccessorReply r;
-    r.status = res.status;
-    r.found = res.found;
-    r.key = res.key;
-    r.batch_seq = w.seq;
-    r.latency_rounds = latency(op.submit_clock);
-    op.promise.set_value(std::move(r));
-  }
-  stat_completed_.fetch_add(done, std::memory_order_relaxed);
-  pending_ops_.fetch_sub(done, std::memory_order_release);
+  stat_completed_.fetch_add(w.ops.size(), std::memory_order_relaxed);
+  pending_ops_.fetch_sub(w.ops.size(), std::memory_order_release);
   { std::lock_guard lock(coord_mu_); }
   drained_cv_.notify_all();
 }

@@ -7,20 +7,20 @@
 // issuing single ops. This layer turns client streams into the batches
 // the rest of the system is built around:
 //
-//   client threads ──▶ per-op-class submission queues (get / upsert /
-//                      delete / successor; mutex-guarded MPSC, one
-//                      global ticket order across classes)
-//          batcher ──▶ group commit: harvest the queues and flush a
-//                      window when it reaches max_batch ops, when the
-//                      executor is idle (no reason to hold a flush
-//                      back), or when the oldest queued op has waited
-//                      max_delay_rounds fleet rounds. Staging =
-//                      CPU-side sort + dedup (coalesced duplicate
-//                      reads answer every waiter from one batch
-//                      position; duplicate writes keep the batch
-//                      contract's first-occurrence-wins) + building
-//                      the position maps that route per-key Status
-//                      back to each issuing client.
+//   client threads ──▶ one submission queue (mutex-guarded MPSC, in
+//                      submission order, every op class mixed)
+//          batcher ──▶ group commit: harvest the queue and flush a window
+//                      when it reaches max_batch ops, when the executor
+//                      is idle (no reason to hold a flush back), or when
+//                      the oldest queued op has waited max_delay_rounds
+//                      fleet rounds. A window is the oldest queued ops, so
+//                      every window is a contiguous run of submissions.
+//                      Staging = one CPU-side pass over the window sorted
+//                      by (op class, key): it dedups (coalesced duplicate
+//                      reads answer every waiter from one batch position;
+//                      duplicate writes keep the batch contract's first-
+//                      occurrence-wins) and gives each op the position
+//                      that routes its per-key Status back to its client.
 //         executor ──▶ runs the staged window against the store as at
 //                      most four batch ops in a fixed serialization
 //                      order (upserts, deletes, gets, successors) under
@@ -28,8 +28,8 @@
 //
 // Pipelining (FrontEndOptions::pipeline, the default): the batcher and
 // executor are separate threads with a double-buffered handoff, so the
-// CPU-side work of window k+1 — harvest, sort/dedup, position maps, and
-// the promise completion of window k-1 — overlaps the shard rounds of
+// CPU-side work of window k+1 — harvest, sort/dedup, and the promise
+// completion of window k-1 — overlaps the shard rounds of
 // window k. This is exactly the CPU–DPU communication pipelining the
 // PIM-tree driver treats as the production pattern: the host-side phase
 // of one batch hides behind the in-memory phase of the previous one.
@@ -52,10 +52,12 @@
 // k observe every acked write of windows < k plus, for reads, the acked
 // writes of window k itself (writes execute first). Ops of one window
 // see the store's batch semantics (duplicate-key first-occurrence-wins,
-// found flags against pre-batch state). A client that blocks on each
-// future before issuing its next op therefore gets strict program order:
-// the next op lands in a strictly later window than the completion it
-// observed. Replies carry the window sequence number, so an external
+// found flags against pre-batch state). Windows are contiguous runs of
+// the one submission order, so any client's replies carry non-decreasing
+// window numbers in its own submission order; a client that blocks on
+// each future before issuing its next op gets strict program order (the
+// next op lands in a strictly later window than the completion it
+// observed). Replies carry the window sequence number, so an external
 // checker can rebuild the exact serialization (serve_frontend_test does).
 //
 // Latency accounting: the front end keeps a monotonic ROUND CLOCK — the
@@ -75,6 +77,7 @@
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <variant>
 #include <vector>
 
 #include "common/status.hpp"
@@ -161,7 +164,7 @@ class ServingFrontEnd {
 
   // ---------------- lifecycle ----------------
 
-  /// Blocks until every accepted op has completed (queues drained, no
+  /// Blocks until every accepted op has completed (queue drained, no
   /// window staged or executing). New submissions keep being accepted.
   void drain();
   /// Stops accepting (later submissions complete immediately with
@@ -181,7 +184,7 @@ class ServingFrontEnd {
   u64 round_clock() const { return clock_.load(std::memory_order_relaxed); }
 
   struct Stats {
-    u64 accepted = 0;         // ops admitted into the queues
+    u64 accepted = 0;         // ops admitted into the queue
     u64 completed = 0;        // replies delivered
     u64 rejected = 0;         // shed at the door (admission control)
     u64 windows = 0;          // batches flushed to the store
@@ -195,81 +198,71 @@ class ServingFrontEnd {
   Stats stats() const;
 
  private:
-  template <typename Reply>
-  struct PendingOp {
+  /// An op's class is the index of its promise, in the store's
+  /// serialization order within a window.
+  enum OpClass : u32 { kUpsert, kErase, kGet, kSuccessor, kClasses };
+  using Promise = std::variant<std::promise<UpsertReply>, std::promise<EraseReply>,
+                               std::promise<GetReply>, std::promise<SuccessorReply>>;
+
+  /// One client op, from submission to its reply.
+  struct Op {
     Key key = 0;
     Value value = 0;       // upserts only
-    u64 ticket = 0;        // global submission order (across classes)
     u64 submit_clock = 0;  // round_clock() at submission
-    u64 position = 0;      // index into the staged unique-key batch
-    std::promise<Reply> promise;
+    u64 position = 0;      // index into its class's staged batch
+    Promise promise;
+    u32 cls() const { return static_cast<u32>(promise.index()); }
   };
 
-  template <typename Reply>
-  struct SubmissionQueue {
-    std::mutex mu;
-    std::vector<PendingOp<Reply>> q;  // ticket order (mutex serializes)
-    bool closed = false;  // set under mu at shutdown: no push can race the
-                          // batcher's final drain, so no op is ever lost
-  };
-
-  /// One serialization window: staged unique sorted keys per op class,
-  /// the pending ops mapped onto them, and (after execution) the
-  /// per-position results.
+  /// One serialization window: its ops in submission order, the four
+  /// staged store batches (unique keys, ascending) the ops point into,
+  /// and (after execution) the per-position results.
   struct Window {
     u64 seq = 0;
     u64 clock_after = 0;  // round clock when execution finished
+    std::vector<Op> ops;
 
-    std::vector<std::pair<Key, Value>> upsert_kvs;  // unique keys, sorted
-    std::vector<PendingOp<UpsertReply>> upserts;
+    std::vector<std::pair<Key, Value>> upserts;
+    std::vector<Key> erases;
+    std::vector<Key> gets;
+    std::vector<Key> successors;
+
     std::vector<Status> upsert_res;
-
-    std::vector<Key> del_keys;  // unique, sorted
-    std::vector<PendingOp<EraseReply>> erases;
-    std::vector<shard::ShardedPimStore::FlagResult> del_res;
-
-    std::vector<Key> get_keys;  // unique, sorted
-    std::vector<PendingOp<GetReply>> gets;
+    std::vector<shard::ShardedPimStore::FlagResult> erase_res;
     std::vector<shard::ShardedPimStore::GetResult> get_res;
+    std::vector<shard::ShardedPimStore::NearResult> successor_res;
+    Status failed[kClasses];  // set when a class's batch threw as a whole
 
-    std::vector<Key> succ_keys;  // unique, sorted
-    std::vector<PendingOp<SuccessorReply>> succs;
-    std::vector<shard::ShardedPimStore::NearResult> succ_res;
-
-    u64 ops() const {
-      return upserts.size() + erases.size() + gets.size() + succs.size();
+    // A reply's fields from position i of its class's results.
+    void fill(UpsertReply& r, u64 i) const { r.status = upsert_res[i]; }
+    void fill(EraseReply& r, u64 i) const {
+      r.status = erase_res[i].status;
+      r.erased = erase_res[i].found;
+    }
+    void fill(GetReply& r, u64 i) const {
+      r.status = get_res[i].status;
+      r.found = get_res[i].found;
+      r.value = get_res[i].value;
+    }
+    void fill(SuccessorReply& r, u64 i) const {
+      r.status = successor_res[i].status;
+      r.found = successor_res[i].found;
+      r.key = successor_res[i].key;
     }
   };
 
-  /// Ops harvested from the submission queues but not yet flushed —
-  /// the group-commit accumulator (batcher-private).
-  struct Accum {
-    std::deque<PendingOp<UpsertReply>> upserts;
-    std::deque<PendingOp<EraseReply>> erases;
-    std::deque<PendingOp<GetReply>> gets;
-    std::deque<PendingOp<SuccessorReply>> succs;
-    u64 total() const {
-      return upserts.size() + erases.size() + gets.size() + succs.size();
-    }
-    bool empty() const { return total() == 0; }
-    u64 oldest_submit_clock() const;
-    u64 oldest_ticket() const;
-  };
-
   template <typename Reply>
-  std::future<Reply> enqueue(SubmissionQueue<Reply>& queue, Key key, Value value);
-  template <typename Reply>
-  static void reject(std::promise<Reply>& p, Status status);
+  std::future<Reply> enqueue(Key key, Value value);
 
   void batcher_loop();
   void executor_loop();
-  void harvest(Accum& accum);
-  /// Marks every submission queue closed (under its mutex) and drains
-  /// the stragglers into `accum` — the shutdown-vs-submit race closer.
-  void close_queues(Accum& accum);
-  /// Moves the oldest (by ticket) up to max_batch ops out of the
-  /// accumulator and stages them: sort + dedup + position maps.
-  std::unique_ptr<Window> stage(Accum& accum);
+  /// Moves the submission queue's ops to the back of `accum`; with
+  /// `close`, first marks the queue closed under its mutex, so no later
+  /// submission can land after the batcher's final drain.
+  void harvest(std::deque<Op>& accum, bool close);
+  /// Moves the oldest max_batch ops out of the accumulator and stages
+  /// them: dedup, sort and batch positions.
+  std::unique_ptr<Window> stage(std::deque<Op>& accum);
   /// Runs the window's class batches against the store (store mutex
   /// held inside), samples the round clock around them.
   void execute(Window& w);
@@ -285,15 +278,14 @@ class ServingFrontEnd {
 
   // Submission side.
   std::atomic<bool> accepting_{true};
-  std::atomic<u64> ticket_{0};
-  std::atomic<u64> queued_ops_{0};   // in the submission queues
+  std::atomic<u64> queued_ops_{0};   // in the submission queue
   std::atomic<u64> pending_ops_{0};  // accepted, reply not yet delivered
   std::atomic<u64> clock_{0};
   u64 fleet_rounds_seen_ = 0;  // guarded by the store mutex
-  SubmissionQueue<GetReply> get_q_;
-  SubmissionQueue<UpsertReply> upsert_q_;
-  SubmissionQueue<EraseReply> erase_q_;
-  SubmissionQueue<SuccessorReply> succ_q_;
+  std::mutex queue_mu_;
+  std::vector<Op> queue_;      // submission order (queue_mu_ serializes)
+  bool queue_closed_ = false;  // set under queue_mu_ at shutdown: no push
+                               // can race the final drain, so no op is lost
 
   // Coordination (batcher <-> executor <-> lifecycle).
   std::mutex coord_mu_;

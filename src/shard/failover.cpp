@@ -1,5 +1,5 @@
 // Shard-level fault handling: the kill/revive chaos API, failover into a
-// spare, and fleet-wide chaos plan installation (DESIGN.md §5.10–§5.11).
+// spare, and per-shard chaos plan installation (DESIGN.md §5.10–§5.11).
 //
 // The durability argument, in one place: every write the store
 // acknowledged (per-position kOk) was committed on >= write_quorum live
@@ -120,15 +120,6 @@ Status ShardedPimStore::failover(u32 slot) {
   return Status();
 }
 
-void ShardedPimStore::set_fleet_fault_plan(const sim::FaultPlan& plan) {
-  fleet_plan_ = plan;
-  for (u32 i = 0; i < slots(); ++i) {
-    if (slots_[i].machine != nullptr) {
-      set_shard_fault_plan(i, sim::derive_shard_plan(plan, i));
-    }
-  }
-}
-
 void ShardedPimStore::set_shard_fault_plan(u32 slot, const sim::FaultPlan& plan) {
   Shard& s = slots_[slot];
   PIM_CHECK(s.machine != nullptr, "set_shard_fault_plan: shard is dead");
@@ -193,9 +184,7 @@ Status ShardedPimStore::clear_shard_chaos(u32 slot) {
     return Status(StatusCode::kInvalidArgument,
                   "clear_shard_chaos: slot has no live machine");
   }
-  set_shard_fault_plan(slot, fleet_plan_.has_value()
-                                 ? sim::derive_shard_plan(*fleet_plan_, slot)
-                                 : sim::FaultPlan{});
+  set_shard_fault_plan(slot, sim::FaultPlan{});
   return Status{};
 }
 

@@ -105,9 +105,6 @@ void ShardedPimStore::provision(u32 slot) {
   s.fail_streak = 0;
   s.base_io = 0;
   s.base_work.assign(opts_.modules_per_shard, 0);
-  if (fleet_plan_.has_value()) {
-    s.machine->set_fault_plan(sim::derive_shard_plan(*fleet_plan_, slot));
-  }
 }
 
 // ---------------- group-level journal ----------------

@@ -95,15 +95,6 @@ enum class ShardState : u8 {
            // revive_shard()
 };
 
-inline const char* shard_state_name(ShardState s) {
-  switch (s) {
-    case ShardState::kLive: return "LIVE";
-    case ShardState::kSpare: return "SPARE";
-    case ShardState::kDead: return "DEAD";
-  }
-  return "?";
-}
-
 struct ShardOptions {
   /// Initial replica groups (equal key ranges over [domain_lo,
   /// domain_hi)). Total slots = shards * replication + spares.
@@ -259,12 +250,9 @@ class ShardedPimStore {
   /// no spare exists.
   Status failover(u32 slot);
 
-  /// Installs a fleet-wide fault plan: every live shard's machine gets a
-  /// shard-local derivation (sim::derive_shard_plan — same policy,
-  /// independent draws) and its internal journal is established so
-  /// module-level recovery works from the next batch on.
-  void set_fleet_fault_plan(const sim::FaultPlan& plan);
-  /// Installs a plan on one shard's machine (per-shard chaos).
+  /// Installs a plan on one shard's machine (per-shard chaos). An enabled
+  /// plan on a live shard also establishes the shard's internal journal,
+  /// so module-level recovery works from the next batch on.
   void set_shard_fault_plan(u32 slot, const sim::FaultPlan& plan);
   /// Per-batch deadline forwarded to every live shard's skiplist — and,
   /// via provision(), to every shard created AFTER the call (failover /
@@ -290,8 +278,7 @@ class ShardedPimStore {
   /// with backoff up to the plan's budget, so the shard gets slower and
   /// occasionally faults sub-batches without dying).
   Status flaky_shard(u32 slot, double drop_prob);
-  /// Restores a slot's fault plan to the fleet-wide derivation (or no
-  /// faults when none is installed).
+  /// Restores a slot to no faults.
   Status clear_shard_chaos(u32 slot);
 
   /// Marks/unmarks a live group member as read-deprioritized (the gray
@@ -305,8 +292,6 @@ class ShardedPimStore {
 
   // ---------------- epoch fencing ----------------
 
-  /// Current configuration epoch of a group (see ReplicaGroup::fence_epoch).
-  u64 group_fence_epoch(u32 group) const { return groups_[group].fence_epoch; }
   /// Results / acks / movement steps refused because their captured
   /// epoch was stale (fleet-wide, monotonic).
   u64 fence_refusals() const { return fence_refusals_; }
@@ -649,9 +634,6 @@ class ShardedPimStore {
   std::optional<RepairState> repair_;
   u32 anti_entropy_cursor_ = 0;  // next group the audit visits
   core::PimSkipList::OpDeadline deadline_{};
-  /// Fleet-wide chaos plan, re-derived per slot at every (re-)provision
-  /// so failed-over / migrated shards inherit the chaos regime.
-  std::optional<sim::FaultPlan> fleet_plan_;
   /// Per-group count of epoch captures the zombie test hook ages.
   std::vector<u64> aged_dispatches_;
   u64 fence_refusals_ = 0;

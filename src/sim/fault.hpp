@@ -135,17 +135,6 @@ struct FaultPlan {
   u64 retry_backoff_rounds = 1;
 };
 
-/// Derives a shard-local copy of a fleet-wide fault plan: identical
-/// policy and schedule, seed re-mixed with the shard id so every shard's
-/// machine draws an independent (but still deterministic and executor-
-/// invariant) fault sequence. Used by shard::ShardedPimStore to install
-/// one logical chaos plan across S independent Machines.
-inline FaultPlan derive_shard_plan(const FaultPlan& fleet, u32 shard) {
-  FaultPlan plan = fleet;
-  plan.seed = rnd::mix2(fleet.seed, 0x5A4DF1EE7ull + shard);
-  return plan;
-}
-
 class FaultInjector {
  public:
   void set_plan(const FaultPlan& plan);

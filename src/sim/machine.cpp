@@ -747,7 +747,6 @@ void Machine::run_round() {
   ++rounds_;
   if (budget_armed_) ++budget_rounds_used_;
   const u64 mb = mailbox_.size();
-  mailbox_highwater_ = std::max<u64>(mailbox_highwater_, mb);
   // Barrier log for span-relative shared_mem (see mailbox_highwater_since):
   // append only when the size changed, so the log stays proportional to
   // the number of mailbox resizes, not rounds.

@@ -259,7 +259,6 @@ class Machine {
     fault_.begin_epoch();
     hedge_done_.clear();
   }
-  u64 fault_epoch() const { return fault_.epoch(); }
 
   // ---- circuit breaker ----
 
@@ -341,16 +340,12 @@ class Machine {
   u64 rounds() const { return rounds_; }
   u64 messages() const { return messages_; }
   u64 write_contention() const { return write_contention_; }
-  /// Largest mailbox (CPU shared memory) size observed at any barrier over
-  /// the machine's lifetime — the cumulative "M needed" (Table 1's last
-  /// column). Span-relative attribution comes from delta(): the barrier
-  /// log makes MachineDelta::shared_mem the high-water of exactly the
-  /// barriers between the two snapshots, so nested or back-to-back
-  /// measured spans cannot clobber each other.
-  u64 mailbox_highwater() const { return mailbox_highwater_; }
-  /// High-water of the mailbox over barriers (since_rounds, rounds()] —
-  /// what delta() reports as shared_mem for a span that started at
-  /// rounds() == since_rounds. 0 if the span contains no barrier.
+  /// High-water of the mailbox (CPU shared memory, Table 1's "M needed")
+  /// over barriers (since_rounds, rounds()] — what delta() reports as
+  /// shared_mem for a span that started at rounds() == since_rounds. 0 if
+  /// the span contains no barrier. The barrier log makes it exactly the
+  /// barriers between two snapshots, so nested or back-to-back measured
+  /// spans cannot clobber each other.
   u64 mailbox_highwater_since(u64 since_rounds) const;
   u64 module_work(ModuleId m) const { return per_module_[m].work; }
   u64 module_space(ModuleId m) const { return per_module_[m].space_words; }
@@ -514,7 +509,6 @@ class Machine {
   u64 rounds_ = 0;
   u64 messages_ = 0;
   u64 write_contention_ = 0;
-  u64 mailbox_highwater_ = 0;
   u64 last_round_h_ = 0;
   /// Barrier log of mailbox sizes: one entry per barrier at which the size
   /// differed from the previous entry (compressed run-length form keyed by

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <barrier>
 #include <numeric>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -63,6 +65,38 @@ TEST(ThreadPool, ConcurrentExternalCallersEachCompleteTheirBatches) {
   EXPECT_EQ(wrong.load(), 0u);
 }
 
+/// Runs 4 tasks on a ThreadPool(3). Each waits until all 4 have started,
+/// so every lane (the 3 workers and the caller) runs exactly one; a task
+/// for which `throws_here()` holds then throws. Returns the sum of the
+/// indices of the tasks that finished.
+u32 run_on_every_lane(ThreadPool& pool, const std::function<bool()>& throws_here) {
+  std::barrier all_started(4);
+  std::atomic<u32> sum{0};
+  const std::function<void(u32)> task = [&](u32 i) {
+    all_started.arrive_and_wait();
+    if (throws_here()) throw std::runtime_error("task failed");
+    sum.fetch_add(i);
+  };
+  pool.run_batch(task, 4);
+  return sum.load();
+}
+
+TEST(ThreadPool, ThrowOnTheCallerReachesTheCaller) {
+  ThreadPool pool(3);
+  const std::thread::id caller = std::this_thread::get_id();
+  EXPECT_THROW(run_on_every_lane(pool, [&] { return std::this_thread::get_id() == caller; }),
+               std::runtime_error);
+  // The pool is whole again: the next batch runs on every lane.
+  EXPECT_EQ(run_on_every_lane(pool, [] { return false; }), 6u);
+}
+
+TEST(ThreadPool, ThrowOnAWorkerReachesTheCaller) {
+  ThreadPool pool(3);
+  EXPECT_THROW(run_on_every_lane(pool, [] { return ThreadPool::on_worker(); }),
+               std::runtime_error);
+  EXPECT_EQ(run_on_every_lane(pool, [] { return false; }), 6u);
+}
+
 TEST(ForkJoin, ParallelForCoversRange) {
   std::vector<std::atomic<int>> hits(1000);
   parallel_for(1000, [&](u64 i) { hits[i].fetch_add(1); });
@@ -101,16 +135,6 @@ TEST(ForkJoin, NestedParallelForComposes) {
   // inner: work 4*(1+1)=8, depth 2+1=3; outer: work 4*(8+1)=36, depth 2+3.
   EXPECT_EQ(cost.work, 36u);
   EXPECT_EQ(cost.depth, 5u);
-}
-
-TEST(ForkJoin, ParallelInvokeSumsWorkMaxesDepth) {
-  CostCounters cost;
-  {
-    CostScope scope(cost);
-    parallel_invoke([] { charge(10); }, [] { charge(3); }, [] { charge(7); });
-  }
-  EXPECT_EQ(cost.work, 20u);
-  EXPECT_EQ(cost.depth, 11u);  // 1 + max(10, 3, 7)
 }
 
 TEST(ForkJoin, AccountingIndependentOfThreadCount) {

@@ -10,8 +10,9 @@
 // bit-identically with the oracle at the end — kNoQuorum/kShardDown
 // refusals must land on exactly the affected client ops and must never
 // become visible. Also pinned: pipelined and unpipelined modes produce
-// semantically identical serialization, duplicate coalescing preserves
-// the batch contract, admission control sheds at the door, and stop()
+// semantically identical serialization, every window is a contiguous run
+// of submissions, duplicate coalescing preserves the batch contract and
+// is counted exactly, admission control sheds at the door, and stop()
 // completes (never abandons) every accepted op.
 #include <gtest/gtest.h>
 
@@ -19,7 +20,9 @@
 #include <chrono>
 #include <future>
 #include <map>
+#include <set>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "reference_model.hpp"
@@ -60,13 +63,14 @@ struct OpLog {
   bool flag = false;   // get/succ: found; erase: erased
   Value got = 0;       // get: value
   Key succ_key = 0;    // successor: answer
-  u64 order = 0;       // per-client submission index (ticket order)
+  u64 order = 0;       // per-client submission index
 };
 
 /// Replays the acked ops of a window-ordered log into the oracle and
 /// checks every served read against it. `log` must hold each window's
-/// ops in ticket order (per-client submission order suffices when each
-/// client has at most one op per window, or when there is one client).
+/// ops in submission order (per-client submission order suffices when
+/// each client has at most one op per window, or when there is one
+/// client).
 void replay_and_check(Ref& ref, const std::vector<OpLog>& log) {
   u64 i = 0;
   while (i < log.size()) {
@@ -117,7 +121,7 @@ void replay_and_check(Ref& ref, const std::vector<OpLog>& log) {
   }
 }
 
-/// Window-major, ticket-minor order (stable on per-client order).
+/// Window-major, submission-minor order (stable on per-client order).
 void sort_log(std::vector<OpLog>& log) {
   std::stable_sort(log.begin(), log.end(), [](const OpLog& a, const OpLog& b) {
     return a.seq != b.seq ? a.seq < b.seq : a.order < b.order;
@@ -151,12 +155,17 @@ void run_burst_mode(bool pipeline) {
   };
   std::vector<Pending> inflight;
   u64 order = 0;
+  // Hot keys: 32 stored keys spread over every shard, so each window,
+  // whatever its size (cuts follow thread timing), carries duplicate
+  // reads and writes.
+  constexpr u64 kHotKeys = 32;
+  const u64 hot_stride = pairs.size() / kHotKeys;
   for (u32 burst = 0; burst < 12; ++burst) {
     for (u32 i = 0; i < 96; ++i) {
       Pending p;
       p.base.order = order++;
       const u64 dice = rng.below(10);
-      const Key hot = pairs[rng.below(pairs.size())].first;
+      const Key hot = pairs[rng.below(kHotKeys) * hot_stride].first;
       if (dice < 3) {
         p.base.kind = OpLog::kUpsert;
         // A quarter of upserts reuse a hot key: duplicate writes in one
@@ -220,14 +229,38 @@ void run_burst_mode(bool pipeline) {
     EXPECT_TRUE(e.status.ok()) << e.status.to_string();
     log.push_back(std::move(e));
   }
+
+  // Every window is a contiguous run of submissions, and the stats count
+  // exactly the windows the replies report: (a) the one submitting
+  // thread's replies carry non-decreasing batch_seq in submission order;
+  // (b) windows, the largest window and the coalescing counters (ops
+  // minus their distinct (class, key) pairs, per window) match the log.
+  const auto st = fe.stats();
+  std::map<u64, u64> window_ops;                 // batch_seq -> ops
+  std::set<std::tuple<u64, int, Key>> distinct;  // (batch_seq, class, key)
+  u64 out_of_order = 0, write_dups = 0, read_dups = 0;
+  for (u64 i = 0; i < log.size(); ++i) {
+    const OpLog& e = log[i];
+    if (i > 0 && e.seq < log[i - 1].seq) ++out_of_order;
+    ++window_ops[e.seq];
+    if (!distinct.emplace(e.seq, e.kind, e.key).second) {
+      ++(e.kind == OpLog::kUpsert || e.kind == OpLog::kErase ? write_dups : read_dups);
+    }
+  }
+  u64 largest = 0;
+  for (const auto& [seq, ops] : window_ops) largest = std::max(largest, ops);
+  EXPECT_EQ(out_of_order, 0u) << "an op was served in an earlier window than an older op";
+  EXPECT_EQ(st.windows, window_ops.size());
+  EXPECT_EQ(st.max_window_ops, largest);
+  EXPECT_EQ(st.coalesced_writes, write_dups);
+  EXPECT_EQ(st.coalesced_reads, read_dups);
+
   sort_log(log);
   replay_and_check(ref, log);
 
-  const auto st = fe.stats();
   EXPECT_EQ(st.accepted, log.size());
   EXPECT_EQ(st.completed, log.size());
   EXPECT_EQ(st.rejected, 0u);
-  EXPECT_GT(st.windows, 0u);
   EXPECT_GT(st.coalesced_reads, 0u) << "duplicate gets never coalesced";
   fe.stop();
 
