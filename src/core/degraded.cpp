@@ -157,73 +157,50 @@ void PimSkipList::fail_stop_suspects() {
 std::vector<PimSkipList::PartialGet> PimSkipList::batch_get_partial(std::span<const Key> keys) {
   const u64 n = keys.size();
   sim::TraceScope trace(machine_, "partial:get");
-  std::vector<PartialGet> out(n);
-  if (!machine_.fault_active()) {
-    auto r = batch_get_impl(keys);
-    for (u64 i = 0; i < n; ++i) out[i] = PartialGet{Status(), r[i].found, r[i].value};
-    return out;
-  }
-  fail_stop_suspects();
-  if (machine_.down_count() == 0) ensure_journaled();
-  for (u32 attempt = 0;; ++attempt) {
-    machine_.begin_fault_epoch();
-    arm_deadline();
-    try {
-      if (machine_.down_count() == 0) {
-        auto r = batch_get_impl(keys);
-        machine_.clear_round_budget();
-        for (u64 i = 0; i < n; ++i) out[i] = PartialGet{Status(), r[i].found, r[i].value};
-        return out;
-      }
-      // Admit live-homed keys only; one message per distinct admitted key.
-      std::unordered_map<Key, u64> slot_of;
-      std::vector<Key> distinct;
-      for (u64 i = 0; i < n; ++i) {
-        if (slot_of.try_emplace(keys[i], distinct.size()).second) distinct.push_back(keys[i]);
-        par::charge_work(1);
-      }
-      const u64 d = distinct.size();
-      std::vector<ModuleId> home(d);
-      std::vector<u8> dead(d, 0);
-      machine_.mailbox().assign(d * kGetStride, 0);
-      par::charge_work(d * kGetStride);
-      par::charged_region(ceil_log2(d + 2), [&] {
-        for (u64 g = 0; g < d; ++g) {
-          home[g] = placement_.module_of(distinct[g], 0);
-          if (machine_.is_down(home[g])) {
-            dead[g] = 1;
-            continue;
-          }
-          const u64 args[2] = {g * kGetStride, static_cast<u64>(distinct[g])};
-          machine_.send(home[g], &h_get_, std::span<const u64>(args, 2));
-          par::charge_work(1);
-        }
-      });
-      machine_.run_until_quiescent();
-      machine_.clear_round_budget();
-      const auto& mail = machine_.mailbox();
-      for (u64 i = 0; i < n; ++i) {
-        const u64 g = slot_of.at(keys[i]);
-        if (dead[g]) {
-          out[i] = PartialGet{unavailable(home[g]), false, 0};
-        } else {
-          out[i] = PartialGet{Status(), mail[g * kGetStride] != 0, mail[g * kGetStride + 1]};
-        }
-        par::charge_work(1);
-      }
+  return guarded_read(/*repair_first=*/false, [&] {
+    std::vector<PartialGet> out(n);
+    if (!degraded()) {
+      auto r = batch_get_impl(keys);
+      for (u64 i = 0; i < n; ++i) out[i] = PartialGet{Status(), r[i].found, r[i].value};
       return out;
-    } catch (const StatusError& e) {
-      machine_.clear_round_budget();
-      if (e.code() == StatusCode::kDrainStuck) throw;
-      if (e.code() == StatusCode::kDeadlineExceeded) {
-        machine_.abort_pending();
-        throw;
-      }
-      if (attempt + 1 >= kMaxOpRestarts) throw;
-      machine_.abort_pending();
-      fail_stop_suspects();  // the down set may have grown; refilter and retry
     }
-  }
+    // Admit live-homed keys only; one message per distinct admitted key.
+    std::unordered_map<Key, u64> slot_of;
+    std::vector<Key> distinct;
+    for (u64 i = 0; i < n; ++i) {
+      if (slot_of.try_emplace(keys[i], distinct.size()).second) distinct.push_back(keys[i]);
+      par::charge_work(1);
+    }
+    const u64 d = distinct.size();
+    std::vector<ModuleId> home(d);
+    std::vector<u8> dead(d, 0);
+    machine_.mailbox().assign(d * kGetStride, 0);
+    par::charge_work(d * kGetStride);
+    par::charged_region(ceil_log2(d + 2), [&] {
+      for (u64 g = 0; g < d; ++g) {
+        home[g] = placement_.module_of(distinct[g], 0);
+        if (machine_.is_down(home[g])) {
+          dead[g] = 1;
+          continue;
+        }
+        const u64 args[2] = {g * kGetStride, static_cast<u64>(distinct[g])};
+        machine_.send(home[g], &h_get_, std::span<const u64>(args, 2));
+        par::charge_work(1);
+      }
+    });
+    machine_.run_until_quiescent();
+    const auto& mail = machine_.mailbox();
+    for (u64 i = 0; i < n; ++i) {
+      const u64 g = slot_of.at(keys[i]);
+      if (dead[g]) {
+        out[i] = PartialGet{unavailable(home[g]), false, 0};
+      } else {
+        out[i] = PartialGet{Status(), mail[g * kGetStride] != 0, mail[g * kGetStride + 1]};
+      }
+      par::charge_work(1);
+    }
+    return out;
+  });
 }
 
 template <typename Item>

@@ -463,9 +463,13 @@ class PimSkipList {
     }
   }
 
-  /// Read-only ops: recover if needed, run, restart on transient faults.
+  /// Read-only ops: run, restart on transient faults. Each attempt first
+  /// fail-stops suspects; with `repair_first` (the guarded reads) the
+  /// structure is journaled up front and repaired before each attempt,
+  /// without it (the partial get) the read goes around down modules and
+  /// journals only while none is down.
   template <typename Fn>
-  auto guarded_read(Fn&& fn);
+  auto guarded_read(bool repair_first, Fn&& fn);
   /// The seven journaled mutations. Without a fault plan `run` executes
   /// unlogged. Otherwise the log is established, the structure repaired
   /// first when `repair_first` (the guarded ops; the partial ops admit
@@ -559,12 +563,14 @@ class PimSkipList {
 };
 
 template <typename Fn>
-auto PimSkipList::guarded_read(Fn&& fn) {
+auto PimSkipList::guarded_read(bool repair_first, Fn&& fn) {
   if (!machine_.fault_active()) return fn();
-  ensure_journaled();  // a crash mid-read must leave us recoverable
+  if (!repair_first) fail_stop_suspects();
+  // A crash mid-read must leave us recoverable.
+  if (repair_first || machine_.down_count() == 0) ensure_journaled();
   for (u32 attempt = 0;; ++attempt) {
-    fail_stop_suspects();  // breaker verdicts become surgical recoveries
-    ensure_healthy();
+    fail_stop_suspects();  // breaker verdicts become fail-stops ...
+    if (repair_first) ensure_healthy();  // ... and surgical recoveries
     machine_.begin_fault_epoch();
     arm_deadline();
     try {

@@ -375,38 +375,41 @@ u64 PimSkipList::offline_restore_module(ModuleId m, const Pairs& contents,
 // ---------------- read entry points ----------------
 
 std::vector<PimSkipList::GetResult> PimSkipList::batch_get(std::span<const Key> keys) {
-  return guarded_read([&] { return batch_get_impl(keys); });
+  return guarded_read(/*repair_first=*/true, [&] { return batch_get_impl(keys); });
 }
 
 std::vector<PimSkipList::NearResult> PimSkipList::batch_successor(std::span<const Key> keys) {
-  return guarded_read([&] { return batch_near(keys, /*successor_mode=*/true); });
+  return guarded_read(/*repair_first=*/true,
+                      [&] { return batch_near(keys, /*successor_mode=*/true); });
 }
 
 std::vector<PimSkipList::NearResult> PimSkipList::batch_predecessor(std::span<const Key> keys) {
-  return guarded_read([&] { return batch_near(keys, /*successor_mode=*/false); });
+  return guarded_read(/*repair_first=*/true,
+                      [&] { return batch_near(keys, /*successor_mode=*/false); });
 }
 
 std::vector<PimSkipList::NearResult> PimSkipList::batch_successor_naive(
     std::span<const Key> keys) {
-  return guarded_read([&] { return batch_successor_naive_impl(keys); });
+  return guarded_read(/*repair_first=*/true, [&] { return batch_successor_naive_impl(keys); });
 }
 
 PimSkipList::RangeAgg PimSkipList::range_count_broadcast(Key lo, Key hi) {
-  return guarded_read([&] { return range_count_broadcast_impl(lo, hi); });
+  return guarded_read(/*repair_first=*/true, [&] { return range_count_broadcast_impl(lo, hi); });
 }
 
 std::vector<std::pair<Key, Value>> PimSkipList::range_collect_broadcast(Key lo, Key hi) {
-  return guarded_read([&] { return range_collect_broadcast_impl(lo, hi); });
+  return guarded_read(/*repair_first=*/true, [&] { return range_collect_broadcast_impl(lo, hi); });
 }
 
 std::vector<PimSkipList::RangeAgg> PimSkipList::batch_range_aggregate(
     std::span<const RangeQuery> queries) {
-  return guarded_read([&] { return batch_range_aggregate_impl(queries); });
+  return guarded_read(/*repair_first=*/true, [&] { return batch_range_aggregate_impl(queries); });
 }
 
 std::vector<PimSkipList::RangeAgg> PimSkipList::batch_range_aggregate_expand(
     std::span<const RangeQuery> queries) {
-  return guarded_read([&] { return batch_range_aggregate_expand_impl(queries); });
+  return guarded_read(/*repair_first=*/true,
+                      [&] { return batch_range_aggregate_expand_impl(queries); });
 }
 
 // ---------------- mutating entry points ----------------

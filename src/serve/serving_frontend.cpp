@@ -183,22 +183,23 @@ std::unique_ptr<ServingFrontEnd::Window> ServingFrontEnd::stage(std::deque<Op>& 
       continue;
     }
     run = &op;
+    auto& b = w->batches;
     switch (op.cls()) {
       case kUpsert:
-        op.position = w->upserts.size();
-        w->upserts.emplace_back(op.key, op.value);
+        op.position = b.upserts.size();
+        b.upserts.emplace_back(op.key, op.value);
         break;
       case kErase:
-        op.position = w->erases.size();
-        w->erases.push_back(op.key);
+        op.position = b.deletes.size();
+        b.deletes.push_back(op.key);
         break;
       case kGet:
-        op.position = w->gets.size();
-        w->gets.push_back(op.key);
+        op.position = b.gets.size();
+        b.gets.push_back(op.key);
         break;
       default:
-        op.position = w->successors.size();
-        w->successors.push_back(op.key);
+        op.position = b.successors.size();
+        b.successors.push_back(op.key);
         break;
     }
   }
@@ -334,24 +335,13 @@ void ServingFrontEnd::sample_clock_locked() {
 void ServingFrontEnd::execute(Window& w) {
   std::lock_guard lock(*store_mu_);
   sample_clock_locked();  // credit policy-thread rounds to queueing time
-  // Fixed serialization order within the window: writes first (upserts,
-  // then deletes), then reads — reads in window k observe window k's
-  // acked writes. A class whose batch throws as a whole (admission
-  // control, drain-stuck escapes) fails all and only its own ops.
-  for (u32 cls = kUpsert; cls < kClasses; ++cls) {
-    try {
-      if (cls == kUpsert && !w.upserts.empty()) {
-        w.upsert_res = store_.batch_upsert(w.upserts);
-      } else if (cls == kErase && !w.erases.empty()) {
-        w.erase_res = store_.batch_delete(w.erases);
-      } else if (cls == kGet && !w.gets.empty()) {
-        w.get_res = store_.batch_get(w.gets);
-      } else if (cls == kSuccessor && !w.successors.empty()) {
-        w.successor_res = store_.batch_successor(w.successors);
-      }
-    } catch (const StatusError& e) {
-      w.failed[cls] = e.status();
-    }
+  // One store call per window. The store runs the writes before the
+  // reads, so reads in window k observe window k's acked writes. A call
+  // that throws as a whole fails every op of the window.
+  try {
+    w.results = store_.batch_window(w.batches);
+  } catch (const StatusError& e) {
+    w.failed = e.status();
   }
   sample_clock_locked();
   w.clock_after = clock_.load(std::memory_order_relaxed);
@@ -362,10 +352,10 @@ void ServingFrontEnd::distribute(Window& w) {
     std::visit(
         [&]<typename Reply>(std::promise<Reply>& promise) {
           Reply r;
-          if (w.failed[op.cls()].ok()) {
+          if (w.failed.ok()) {
             w.fill(r, op.position);
           } else {
-            r.status = w.failed[op.cls()];
+            r.status = w.failed;
           }
           r.batch_seq = w.seq;
           r.latency_rounds = saturating_sub(w.clock_after, op.submit_clock);

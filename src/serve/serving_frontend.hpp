@@ -21,10 +21,11 @@
 //                      duplicate writes keep the batch contract's first-
 //                      occurrence-wins) and gives each op the position
 //                      that routes its per-key Status back to its client.
-//         executor ──▶ runs the staged window against the store as at
-//                      most four batch ops in a fixed serialization
-//                      order (upserts, deletes, gets, successors) under
-//                      the store mutex, then hands the results back.
+//         executor ──▶ runs the staged window against the store as one
+//                      batch_window call under the store mutex (the store
+//                      runs its classes in a fixed serialization order:
+//                      upserts, deletes, gets, successors), then hands
+//                      the results back.
 //
 // Pipelining (FrontEndOptions::pipeline, the default): the batcher and
 // executor are separate threads with a double-buffered handoff, so the
@@ -42,7 +43,8 @@
 //   * kNoQuorum / kFencedEpoch / kShardDown / kDeadlineExceeded
 //     propagate to exactly the affected client ops through the per-key
 //     Status reassembly (a coalesced read fans one status out to every
-//     waiter of that key);
+//     waiter of that key); a window call that throws as a whole fails
+//     every op of that window;
 //   * the ShardPolicy thread keeps running underneath: the executor
 //     serializes store access behind the same mutex
 //     (FrontEndOptions::store_mu = &policy.mu()), so failover, repair,
@@ -200,7 +202,7 @@ class ServingFrontEnd {
  private:
   /// An op's class is the index of its promise, in the store's
   /// serialization order within a window.
-  enum OpClass : u32 { kUpsert, kErase, kGet, kSuccessor, kClasses };
+  enum OpClass : u32 { kUpsert, kErase, kGet, kSuccessor };
   using Promise = std::variant<std::promise<UpsertReply>, std::promise<EraseReply>,
                                std::promise<GetReply>, std::promise<SuccessorReply>>;
 
@@ -214,40 +216,32 @@ class ServingFrontEnd {
     u32 cls() const { return static_cast<u32>(promise.index()); }
   };
 
-  /// One serialization window: its ops in submission order, the four
-  /// staged store batches (unique keys, ascending) the ops point into,
-  /// and (after execution) the per-position results.
+  /// One serialization window: its ops in submission order, the store
+  /// request they point into (one batch per class, unique keys,
+  /// ascending) and, after execution, the store's per-position results.
   struct Window {
     u64 seq = 0;
     u64 clock_after = 0;  // round clock when execution finished
     std::vector<Op> ops;
-
-    std::vector<std::pair<Key, Value>> upserts;
-    std::vector<Key> erases;
-    std::vector<Key> gets;
-    std::vector<Key> successors;
-
-    std::vector<Status> upsert_res;
-    std::vector<shard::ShardedPimStore::FlagResult> erase_res;
-    std::vector<shard::ShardedPimStore::GetResult> get_res;
-    std::vector<shard::ShardedPimStore::NearResult> successor_res;
-    Status failed[kClasses];  // set when a class's batch threw as a whole
+    shard::ShardedPimStore::WindowRequest batches;
+    shard::ShardedPimStore::WindowResult results;
+    Status failed;  // set when the window's store call threw as a whole
 
     // A reply's fields from position i of its class's results.
-    void fill(UpsertReply& r, u64 i) const { r.status = upsert_res[i]; }
+    void fill(UpsertReply& r, u64 i) const { r.status = results.upserts[i]; }
     void fill(EraseReply& r, u64 i) const {
-      r.status = erase_res[i].status;
-      r.erased = erase_res[i].found;
+      r.status = results.deletes[i].status;
+      r.erased = results.deletes[i].found;
     }
     void fill(GetReply& r, u64 i) const {
-      r.status = get_res[i].status;
-      r.found = get_res[i].found;
-      r.value = get_res[i].value;
+      r.status = results.gets[i].status;
+      r.found = results.gets[i].found;
+      r.value = results.gets[i].value;
     }
     void fill(SuccessorReply& r, u64 i) const {
-      r.status = successor_res[i].status;
-      r.found = successor_res[i].found;
-      r.key = successor_res[i].key;
+      r.status = results.successors[i].status;
+      r.found = results.successors[i].found;
+      r.key = results.successors[i].key;
     }
   };
 
@@ -263,8 +257,8 @@ class ServingFrontEnd {
   /// Moves the oldest max_batch ops out of the accumulator and stages
   /// them: dedup, sort and batch positions.
   std::unique_ptr<Window> stage(std::deque<Op>& accum);
-  /// Runs the window's class batches against the store (store mutex
-  /// held inside), samples the round clock around them.
+  /// Runs the window as one store call (store mutex held inside),
+  /// samples the round clock around it.
   void execute(Window& w);
   /// Completes every promise of the window with its mapped result.
   void distribute(Window& w);

@@ -1,7 +1,7 @@
-// ShardedPimStore core: provisioning, the route table, the two-phase
-// batch split/merge dispatcher with R-way replica groups, and the
-// group-level write-ahead journal that makes shard failover lossless
-// for acknowledged writes.
+// ShardedPimStore core: provisioning, the route table, the point-op
+// window (one fan-out for the six point classes over R-way replica
+// groups), and the group-level write-ahead journal that makes shard
+// failover lossless for acknowledged writes.
 #include "shard/sharded_store.hpp"
 
 #include <algorithm>
@@ -46,7 +46,7 @@ ShardOptions validated(ShardOptions opts) {
 
 /// items[positions[0]], items[positions[1]], ...: one group's sub-batch.
 template <typename T>
-std::vector<T> gather(std::span<const T> items, const std::vector<u64>& positions) {
+std::vector<T> gather(const std::vector<T>& items, const std::vector<u64>& positions) {
   std::vector<T> sub;
   sub.reserve(positions.size());
   for (const u64 pos : positions) sub.push_back(items[pos]);
@@ -317,295 +317,406 @@ void ShardedPimStore::build(std::span<const std::pair<Key, Value>> sorted_unique
 
 // ---------------- batch point operations ----------------
 
-std::vector<ShardedPimStore::GetResult> ShardedPimStore::batch_get(
-    std::span<const Key> keys) {
-  if (opts_.quorum_reads && opts_.write_quorum > 1) return quorum_batch_get(keys);
-  const u64 n = keys.size();
-  std::vector<GetResult> out(n);
+namespace {
 
-  // Reads retarget: each pending job remembers which member indexes it
-  // already tried; a wave that fails (whole sub-batch or per-key) moves
-  // to the next live member until none are left. With R = 1 this
-  // degenerates to exactly the single-attempt PR 6 path.
-  struct Job : WaveJob<std::vector<core::PimSkipList::PartialGet>> {
-    u32 tried = 0;  // bitmask of member indexes attempted
-    std::vector<u64> positions;
-    u32 fence_retries = 0;  // re-dispatches after a configuration change
-  };
-  std::vector<Job> pending;
-  for (auto& [group, positions] :
-       split_by_group(n, [&](u64 i) { return owning_group(keys[i]); })) {
-    Job j;
-    j.group = group;
-    j.positions = std::move(positions);
-    pending.push_back(std::move(j));
-  }
+// The six point classes, in the order a member runs its share.
+enum PointClass : u32 { kUpsert, kUpdate, kDelete, kGet, kSuccessor, kPredecessor, kClasses };
+constexpr u32 kWriteClasses = (1u << kUpsert) | (1u << kUpdate) | (1u << kDelete);
+constexpr u32 kNearClasses = (1u << kSuccessor) | (1u << kPredecessor);
 
-  while (!pending.empty()) {
-    std::vector<Job> jobs;
-    for (Job& j : pending) {
-      const u32 slot = serving_member(j.group, j.tried);
-      if (slot == kNoSlot) {  // no live member left to try
-        const Status down = shard_down_status(j.group);
-        for (u64 pos : j.positions) out[pos].status = down;
-        continue;
-      }
-      j.epoch = dispatch_epoch(j.group);
-      j.calls = {{slot, {}, {}}};
-      jobs.push_back(std::move(j));
+const Status& status_of(const Status& st) { return st; }
+const Status& status_of(const core::PimSkipList::PartialFlag& r) { return r.status; }
+
+void set_write(Status& out, const Status& st, const Status*) { out = st; }
+void set_write(ShardedPimStore::FlagResult& out, const Status& st,
+               const core::PimSkipList::PartialFlag* r) {
+  out = ShardedPimStore::FlagResult{st, r != nullptr && r->found};
+}
+
+}  // namespace
+
+ShardedPimStore::WindowResult ShardedPimStore::batch_window(const WindowRequest& req) {
+  WindowResult res;
+  res.upserts.resize(req.upserts.size());
+  res.updates.resize(req.updates.size());
+  res.deletes.resize(req.deletes.size());
+  res.gets.resize(req.gets.size());
+  res.successors.resize(req.successors.size());
+  res.predecessors.resize(req.predecessors.size());
+  auto status_at = [&](u32 cls, u64 pos) -> Status& {
+    switch (cls) {
+      case kUpsert: return res.upserts[pos];
+      case kUpdate: return res.updates[pos].status;
+      case kDelete: return res.deletes[pos].status;
+      case kGet: return res.gets[pos].status;
+      case kSuccessor: return res.successors[pos].status;
+      default: return res.predecessors[pos].status;
     }
-    run_wave(jobs, [&](core::PimSkipList& list, const Job& j) {
-      return list.batch_get_partial(gather(keys, j.positions));
+  };
+
+  // Every op still to run: its class, its window position and the group
+  // it asks. The first wave holds the whole window in class order; the
+  // follow-up waves hold reads only. Successor and predecessor answers
+  // are oracle-exact across groups by two rules. Clamping: a group's
+  // answer counts only inside its owned range [lo, hi), so leftovers a
+  // faulted post-cutover cleanup left behind are never served. Spilling:
+  // a clamped miss asks the next group in key order in the next wave
+  // (each spill advances the route cursor, so the loop ends), and a spill
+  // onto a dead group answers kShardDown, since the answer could live
+  // there.
+  struct Ask {
+    u32 cls = 0;
+    u64 pos = 0;
+    u32 group = 0;
+  };
+  std::vector<Ask> asks;
+  auto enqueue = [&](u32 cls, const auto& items) {
+    for (u64 pos = 0; pos < items.size(); ++pos) {
+      asks.push_back(Ask{cls, pos, owning_group(core::key_of(items[pos]))});
+    }
+  };
+  enqueue(kUpsert, req.upserts);
+  enqueue(kUpdate, req.updates);
+  enqueue(kDelete, req.deletes);
+  enqueue(kGet, req.gets);
+  enqueue(kSuccessor, req.successors);
+  enqueue(kPredecessor, req.predecessors);
+
+  // One member call's share: the classes it may run (a bit per class;
+  // it runs those with positions) and each class's results, or the
+  // StatusError that class threw.
+  struct Share {
+    u32 runs = 0;
+    std::vector<Status> upserted;
+    std::vector<core::PimSkipList::PartialFlag> updated, deleted;
+    std::vector<core::PimSkipList::PartialGet> got;
+    std::vector<core::PimSkipList::NearResult> succ, pred;
+    std::optional<Status> failed[kClasses];
+  };
+  struct Job : WaveJob<Share> {
+    std::vector<u64> pos[kClasses];  // this group's window positions per class
+    bool has(u32 cls) const { return !pos[cls].empty(); }
+    bool writes() const { return has(kUpsert) || has(kUpdate) || has(kDelete); }
+    /// The call that runs `cls`; gets (unless quorum) and the ordered
+    /// reads have exactly one.
+    const Call& reader(u32 cls) const {
+      return *std::find_if(calls.begin(), calls.end(),
+                           [&](const auto& c) { return (c.out.runs >> cls & 1) != 0; });
+    }
+  };
+  const bool quorum = opts_.quorum_reads && opts_.write_quorum > 1;
+  std::vector<u32> tried(groups_.size(), 0);  // member indexes a group's gets failed on
+  std::vector<bool> refenced(groups_.size(), false);  // reads re-asked after a fence
+
+  while (!asks.empty()) {
+    // One job per group, in first-asked order; positions stay ascending
+    // per class, the order journal records take.
+    std::vector<Job> jobs;
+    std::vector<u32> job_of(groups_.size(), kNoGroup);
+    for (const Ask& a : asks) {
+      if (job_of[a.group] == kNoGroup) {
+        job_of[a.group] = static_cast<u32>(jobs.size());
+        jobs.emplace_back().group = a.group;
+      }
+      jobs[job_of[a.group]].pos[a.cls].push_back(a.pos);
+    }
+    asks.clear();  // refilled by the settle: retargets, re-serves, spills
+    for (Job& j : jobs) {
+      const u32 group = j.group;
+      auto down = [&](u32 cls) {
+        if (!j.has(cls)) return;
+        const Status st = shard_down_status(group);
+        for (const u64 pos : j.pos[cls]) status_at(cls, pos) = st;
+        j.pos[cls].clear();
+      };
+      auto call_on = [&](u32 slot, u32 classes) {
+        for (auto& c : j.calls) {
+          if (c.slot == slot) {
+            c.out.runs |= classes;
+            return;
+          }
+        }
+        j.calls.emplace_back().slot = slot;
+        j.calls.back().out.runs = classes;
+      };
+      // Readers first: serving_member may converge (or fail-stop) the
+      // member it picks. Every member a read picks is live, so a job with
+      // writes already calls it.
+      const bool plain_gets = j.has(kGet) && !quorum;
+      const bool near = j.has(kSuccessor) || j.has(kPredecessor);
+      const u32 get_reader = plain_gets ? serving_member(group, tried[group]) : kNoSlot;
+      u32 near_reader = kNoSlot;
+      if (near) near_reader = plain_gets && tried[group] == 0 ? get_reader : serving_member(group);
+      if (j.writes() || (j.has(kGet) && quorum) || get_reader != kNoSlot ||
+          near_reader != kNoSlot) {
+        j.epoch = dispatch_epoch(group);
+      }
+      const ReplicaGroup& g = groups_[group];
+      if (j.writes()) {
+        for (const u32 slot : g.members) {
+          if (slots_[slot].state == ShardState::kLive) call_on(slot, kWriteClasses);
+        }
+        if (j.calls.empty()) {
+          for (u32 cls = kUpsert; cls < kGet; ++cls) down(cls);
+        }
+      }
+      if (j.has(kGet) && quorum) {
+        // Read-your-quorum: consult max(write_quorum, R - write_quorum +
+        // 1) live members. Agreement of that many implies the latest
+        // ACKED state: the set meets every write quorum (no acked write
+        // is missed by all of them) and is write_quorum wide (a refused
+        // write, applied on fewer members, never reaches agreement).
+        const u32 r = static_cast<u32>(g.members.size());
+        const u32 wq = opts_.write_quorum;
+        const u32 want = std::max(wq, r >= wq ? r - wq + 1 : 1u);
+        std::vector<u32> consult;
+        for (u32 i = 0; i < r && consult.size() < want; ++i) {
+          const u32 slot = g.members[(g.primary + i) % r];
+          if (slots_[slot].state == ShardState::kLive) consult.push_back(slot);
+        }
+        if (consult.empty()) {
+          down(kGet);
+        } else if (consult.size() == want) {
+          for (const u32 slot : consult) call_on(slot, 1u << kGet);
+        }  // else a partial consult can neither agree nor refuse: the
+           // merge resolves every key from the journal
+      }
+      if (plain_gets) {
+        if (get_reader == kNoSlot) down(kGet);
+        else call_on(get_reader, 1u << kGet);
+      }
+      if (near) {
+        if (near_reader == kNoSlot) {
+          down(kSuccessor);
+          down(kPredecessor);
+        } else {
+          call_on(near_reader, kNearClasses);
+        }
+      }
+    }
+    // A job with no call left answered at dispatch, unless it holds
+    // quorum gets that resolve from the journal.
+    std::erase_if(jobs, [](const Job& j) { return j.calls.empty() && !j.has(kGet); });
+
+    run_wave(jobs, [&req](core::PimSkipList& list, const Job& j, Share& s) {
+      auto run = [&](u32 cls, const auto& items, auto&& call) {
+        if ((s.runs >> cls & 1) == 0 || !j.has(cls)) return;
+        try {
+          call(gather(items, j.pos[cls]));
+        } catch (const StatusError& e) {
+          s.failed[cls] = e.status();
+        }
+      };
+      run(kUpsert, req.upserts, [&](auto&& b) { s.upserted = list.batch_upsert_partial(b); });
+      run(kUpdate, req.updates, [&](auto&& b) { s.updated = list.batch_update_partial(b); });
+      run(kDelete, req.deletes, [&](auto&& b) { s.deleted = list.batch_delete_partial(b); });
+      run(kGet, req.gets, [&](auto&& b) { s.got = list.batch_get_partial(b); });
+      run(kSuccessor, req.successors, [&](auto&& b) { s.succ = list.batch_successor(b); });
+      run(kPredecessor, req.predecessors, [&](auto&& b) { s.pred = list.batch_predecessor(b); });
+      // The call reports its first failed class, so the breaker counts a
+      // call with any failed class as one strike.
+      for (const auto& f : s.failed) {
+        if (f.has_value()) throw StatusError(*f);
+      }
     });
 
-    pending.clear();
+    auto reask = [&](const Job& j) {
+      for (u32 cls = kGet; cls < kClasses; ++cls) {
+        for (const u64 pos : j.pos[cls]) asks.push_back(Ask{cls, pos, j.group});
+      }
+    };
+    // One class of writes: quorum merge per position, then one journal
+    // record of the acked positions. Returns whether a live member
+    // missed an acked write or applied a refused one.
+    auto settle_writes = [&]<typename Partial>(const Job& j, u32 cls, core::LogRecord::Kind kind,
+                                               const auto& items,
+                                               std::vector<Partial> Share::*part, auto& out) {
+      bool dirtied = false;
+      core::LogRecord rec;
+      rec.kind = kind;
+      for (u64 k = 0; k < j.pos[cls].size(); ++k) {
+        u32 acked = 0;
+        const Partial* sample = nullptr;
+        Status first_err;
+        bool any_err = false;
+        for (const auto& c : j.calls) {
+          const Status& st = c.out.failed[cls].has_value() ? *c.out.failed[cls]
+                                                           : status_of((c.out.*part)[k]);
+          if (st.ok()) {
+            ++acked;
+            if (sample == nullptr) sample = &(c.out.*part)[k];
+          } else if (!any_err) {
+            first_err = st;
+            any_err = true;
+          }
+        }
+        const u64 pos = j.pos[cls][k];
+        if (acked >= opts_.write_quorum) {
+          set_write(out[pos], status_of(*sample), sample);
+          rec.add(items[pos]);
+          dirtied |= any_err;
+        } else if (acked > 0) {
+          set_write(out[pos], no_quorum_status(j.group, acked), nullptr);
+          dirtied = true;
+        } else {
+          set_write(out[pos], first_err, nullptr);
+        }
+      }
+      if (!rec.ops.empty() || !rec.keys.empty()) {
+        const bool accepted = journal_acked(j.group, j.epoch, std::move(rec));
+        PIM_CHECK(accepted, "journal refused an ack the merge just fenced-checked");
+      }
+      return dirtied;
+    };
+
     settle_wave(
         jobs,
         [&](Job& j, const Status& fenced) {
-          // Re-dispatch a zombie job once, from the primary, at the new
-          // epoch.
-          if (j.fence_retries++ == 0) {
-            j.tried = 0;
-            pending.push_back(std::move(j));
-          } else {
-            for (u64 pos : j.positions) out[pos] = GetResult{fenced};
+          // Zombie wave: nothing is acked or journaled (anti-entropy rolls
+          // back the members that applied the writes, exactly like a
+          // kNoQuorum refusal), and the reads ask once more per call, at
+          // the new epoch, from the primary.
+          const bool again = !refenced[j.group];
+          refenced[j.group] = true;
+          tried[j.group] = 0;
+          for (u32 cls = kUpsert; cls < kClasses; ++cls) {
+            for (const u64 pos : j.pos[cls]) {
+              if (cls >= kGet && again) asks.push_back(Ask{cls, pos, j.group});
+              else status_at(cls, pos) = fenced;
+            }
           }
+          if (j.writes()) groups_[j.group].dirty = true;
         },
         [&](Job& j) {
-          const auto& c = j.calls.front();
-          Job retry;
-          retry.group = j.group;
-          retry.tried = j.tried | (1u << groups_[j.group].rank_of(c.slot));
-          for (u64 k = 0; k < j.positions.size(); ++k) {
-            const u64 pos = j.positions[k];
-            if (c.failure.has_value()) {
-              out[pos].status = *c.failure;
-              retry.positions.push_back(pos);
-              continue;
-            }
-            const auto& r = c.out[k];
-            out[pos] = GetResult{r.status, r.found, r.value};
-            if (!r.status.ok()) retry.positions.push_back(pos);
+          ReplicaGroup& g = groups_[j.group];
+          bool dirtied = false;
+          if (j.writes()) {
+            dirtied |= settle_writes(j, kUpsert, core::LogRecord::kUpsert, req.upserts,
+                                     &Share::upserted, res.upserts);
+            dirtied |= settle_writes(j, kUpdate, core::LogRecord::kUpdate, req.updates,
+                                     &Share::updated, res.updates);
+            dirtied |= settle_writes(j, kDelete, core::LogRecord::kDelete, req.deletes,
+                                     &Share::deleted, res.deletes);
           }
-          if (!retry.positions.empty()) pending.push_back(std::move(retry));
+          if (dirtied) {
+            // This wave's reads may have seen a write the group did not
+            // ack, or missed one it did: serve them again.
+            g.dirty = true;
+            tried[j.group] = 0;
+            reask(j);
+            return;
+          }
+          if (j.has(kGet) && quorum) {
+            // Any disagreement, per-key fault or missing consult resolves
+            // from the group journal's replay, the acked state.
+            std::optional<Pairs> replay;
+            bool consulted = false;
+            for (const auto& c : j.calls) consulted |= (c.out.runs >> kGet & 1) != 0;
+            for (u64 k = 0; k < j.pos[kGet].size(); ++k) {
+              bool agree = consulted;
+              const core::PimSkipList::PartialGet* first = nullptr;
+              for (const auto& c : j.calls) {
+                if ((c.out.runs >> kGet & 1) == 0) continue;
+                if (c.out.failed[kGet].has_value() || !c.out.got[k].status.ok()) {
+                  agree = false;
+                  break;
+                }
+                if (first == nullptr) {
+                  first = &c.out.got[k];
+                } else if (c.out.got[k].found != first->found ||
+                           (first->found && c.out.got[k].value != first->value)) {
+                  agree = false;
+                }
+              }
+              const u64 pos = j.pos[kGet][k];
+              if (agree) {
+                res.gets[pos] = GetResult{first->status, first->found, first->value};
+                continue;
+              }
+              if (!replay.has_value()) replay = g.log.fold();
+              ++quorum_read_resolves_;
+              const auto* hit = core::find_key(*replay, req.gets[pos]);
+              res.gets[pos] = hit == nullptr ? GetResult{} : GetResult{Status{}, true, hit->second};
+              if (consulted) g.dirty = true;  // a consulted member lagged or faulted
+            }
+          } else if (j.has(kGet)) {
+            // A get the serving member failed retargets to a member it
+            // has not tried.
+            const auto& c = j.reader(kGet);
+            tried[j.group] |= 1u << g.rank_of(c.slot);
+            for (u64 k = 0; k < j.pos[kGet].size(); ++k) {
+              const u64 pos = j.pos[kGet][k];
+              if (c.out.failed[kGet].has_value()) {
+                res.gets[pos].status = *c.out.failed[kGet];
+              } else {
+                const auto& r = c.out.got[k];
+                res.gets[pos] = GetResult{r.status, r.found, r.value};
+                if (r.status.ok()) continue;
+              }
+              asks.push_back(Ask{kGet, pos, j.group});
+            }
+          }
+          const auto [lo, hi] = group_range(j.group);  // the clamp bounds
+          for (const bool forward : {true, false}) {
+            const u32 cls = forward ? kSuccessor : kPredecessor;
+            if (!j.has(cls)) continue;
+            const auto& c = j.reader(cls);
+            const auto& got = forward ? c.out.succ : c.out.pred;
+            auto& out = forward ? res.successors : res.predecessors;
+            // A miss spills to the neighbouring group, unless this group
+            // owns the end of the key space in the direction of travel.
+            const bool edge = forward ? hi == kMaxKey : lo == kMinKey;
+            for (u64 k = 0; k < j.pos[cls].size(); ++k) {
+              const u64 pos = j.pos[cls][k];
+              if (c.out.failed[cls].has_value()) {
+                out[pos].status = *c.out.failed[cls];
+              } else if (got[k].found && (forward ? edge || got[k].key < hi : got[k].key >= lo)) {
+                out[pos] = NearResult{Status(), true, got[k].key};
+              } else if (edge) {
+                out[pos] = NearResult{};  // no key beyond this end
+              } else {
+                asks.push_back(Ask{cls, pos, owning_group(forward ? hi : lo - 1)});
+              }
+            }
+          }
         });
-    // A retry needs a live member it has not tried yet, counted after
-    // this wave fed the breaker.
-    std::erase_if(pending, [&](const Job& j) {
-      return j.tried != 0 && read_member(j.group, j.tried) == kNoSlot;
+    // A retargeted get needs a live member it has not tried yet, counted
+    // after this wave fed the breaker; without one it keeps its failure.
+    std::erase_if(asks, [&](const Ask& a) {
+      return a.cls == kGet && tried[a.group] != 0 &&
+             read_member(a.group, tried[a.group]) == kNoSlot;
     });
   }
-  return out;
+  return res;
 }
 
-std::vector<ShardedPimStore::GetResult> ShardedPimStore::quorum_batch_get(
-    std::span<const Key> keys) {
-  // Read-your-quorum: consult max(write_quorum, R - write_quorum + 1)
-  // live members per group. Agreement of that many members implies the
-  // value is the latest ACKED state: the consult set intersects every
-  // write quorum (so no acked write can be missed by all of them), and
-  // is at least write_quorum wide (so a refused write, applied on fewer
-  // members, can never reach agreement). Any disagreement — and any
-  // per-key fault, and a group with too few live members — resolves
-  // from the group journal's replay, which is authoritative by
-  // construction.
-  const u64 n = keys.size();
-  std::vector<GetResult> out(n);
-
-  struct Job : WaveJob<std::vector<core::PimSkipList::PartialGet>> {
-    std::vector<u64> positions;
-    std::vector<Key> sub;
-  };
-  std::vector<Job> jobs;
-  for (auto& [group, positions] :
-       split_by_group(n, [&](u64 i) { return owning_group(keys[i]); })) {
-    const ReplicaGroup& g = groups_[group];
-    const u32 r = static_cast<u32>(g.members.size());
-    const u32 wq = opts_.write_quorum;
-    const u32 want = std::max(wq, r >= wq ? r - wq + 1 : 1u);
-    Job j;
-    j.group = group;
-    j.epoch = dispatch_epoch(group);
-    j.positions = std::move(positions);
-    for (u32 i = 0; i < r && j.calls.size() < want; ++i) {
-      const u32 slot = g.members[(g.primary + i) % r];
-      if (slots_[slot].state == ShardState::kLive) j.calls.push_back({slot, {}, {}});
-    }
-    if (j.calls.empty()) {
-      const Status down = shard_down_status(group);
-      for (u64 pos : j.positions) out[pos].status = down;
-      continue;
-    }
-    if (j.calls.size() < want) {
-      j.calls.clear();  // a partial consult can neither agree nor refuse
-    } else {
-      j.sub = gather(keys, j.positions);
-    }
-    jobs.push_back(std::move(j));
-  }
-  run_wave(jobs, [](core::PimSkipList& list, const Job& j) {
-    return list.batch_get_partial(j.sub);
-  });
-
-  settle_wave(
-      jobs,
-      [&](Job& j, const Status& fenced) {
-        for (u64 pos : j.positions) out[pos] = GetResult{fenced};
-      },
-      [&](Job& j) {
-        ReplicaGroup& g = groups_[j.group];
-        std::optional<Pairs> replay;
-        for (u64 k = 0; k < j.positions.size(); ++k) {
-          // A job with no calls (too few live members) resolves every key.
-          bool agree = !j.calls.empty();
-          const core::PimSkipList::PartialGet* first = nullptr;
-          for (const auto& c : j.calls) {
-            if (c.failure.has_value() || !c.out[k].status.ok()) {
-              agree = false;
-              break;
-            }
-            if (first == nullptr) {
-              first = &c.out[k];
-            } else if (c.out[k].found != first->found ||
-                       (first->found && c.out[k].value != first->value)) {
-              agree = false;
-            }
-          }
-          const u64 pos = j.positions[k];
-          if (agree) {
-            out[pos] = GetResult{first->status, first->found, first->value};
-            continue;
-          }
-          if (!replay.has_value()) replay = g.log.fold();
-          ++quorum_read_resolves_;
-          const auto* hit = core::find_key(*replay, keys[pos]);
-          out[pos] = hit == nullptr ? GetResult{} : GetResult{Status{}, true, hit->second};
-          if (!j.calls.empty()) g.dirty = true;  // a consulted member lagged or faulted
-        }
-      });
-  return out;
-}
-
-template <typename Sub, typename Partial, typename Run, typename StatusOf,
-          typename Emit>
-void ShardedPimStore::replicated_write(std::span<const Sub> items,
-                                       core::LogRecord::Kind kind, Run&& run,
-                                       StatusOf&& status_of, Emit&& emit) {
-  struct Job : WaveJob<std::vector<Partial>> {
-    std::vector<u64> positions;
-    std::vector<Sub> sub;
-  };
-  std::vector<Job> jobs;
-  for (auto& [group, positions] : split_by_group(
-           items.size(), [&](u64 i) { return owning_group(core::key_of(items[i])); })) {
-    Job j;
-    j.group = group;
-    j.epoch = dispatch_epoch(group);
-    j.positions = std::move(positions);
-    for (const u32 slot : groups_[group].members) {
-      if (slots_[slot].state == ShardState::kLive) j.calls.push_back({slot, {}, {}});
-    }
-    if (j.calls.empty()) {
-      const Status down = shard_down_status(group);
-      for (u64 p : j.positions) emit(p, down, nullptr);
-      continue;
-    }
-    j.sub = gather(items, j.positions);
-    jobs.push_back(std::move(j));
-  }
-  run_wave(jobs, [&](core::PimSkipList& list, const Job& j) { return run(list, j.sub); });
-
-  const u32 quorum = opts_.write_quorum;
-  settle_wave(
-      jobs,
-      [&](Job& j, const Status& fenced) {
-        // Zombie wave: nothing is acked, nothing is journaled. (The
-        // caller retries and observes the new configuration; survivors
-        // holding the un-acked application are rolled back by
-        // anti-entropy, exactly like a kNoQuorum refusal.)
-        for (u64 p : j.positions) emit(p, fenced, nullptr);
-        groups_[j.group].dirty = true;
-      },
-      [&](Job& j) {
-        ReplicaGroup& g = groups_[j.group];
-        core::LogRecord rec;
-        rec.kind = kind;
-        for (u64 k = 0; k < j.positions.size(); ++k) {
-          u32 acked = 0;
-          const Partial* sample = nullptr;
-          Status first_err;
-          bool any_err = false;
-          for (const auto& c : j.calls) {
-            const Status& st = c.failure.has_value() ? *c.failure : status_of(c.out[k]);
-            if (st.ok()) {
-              ++acked;
-              if (sample == nullptr) sample = &c.out[k];
-            } else if (!any_err) {
-              first_err = st;
-              any_err = true;
-            }
-          }
-          if (acked >= quorum) {
-            emit(j.positions[k], status_of(*sample), sample);
-            rec.add(j.sub[k]);
-            // A live member missed a write the group acked: its contents
-            // now lag the journal until anti-entropy repairs it.
-            if (any_err) g.dirty = true;
-          } else if (acked > 0) {
-            emit(j.positions[k], no_quorum_status(j.group, acked), nullptr);
-            g.dirty = true;
-          } else {
-            emit(j.positions[k], first_err, nullptr);
-          }
-        }
-        if (!rec.ops.empty() || !rec.keys.empty()) {
-          const bool accepted = journal_acked(j.group, j.epoch, std::move(rec));
-          PIM_CHECK(accepted, "journal refused an ack the merge just fenced-checked");
-        }
-      });
+std::vector<ShardedPimStore::GetResult> ShardedPimStore::batch_get(std::span<const Key> keys) {
+  return batch_window({.gets = {keys.begin(), keys.end()}}).gets;
 }
 
 std::vector<Status> ShardedPimStore::batch_upsert(
     std::span<const std::pair<Key, Value>> ops) {
-  std::vector<Status> out(ops.size());
-  replicated_write<std::pair<Key, Value>, Status>(
-      ops, core::LogRecord::kUpsert,
-      [](core::PimSkipList& list, const std::vector<std::pair<Key, Value>>& sub) {
-        return list.batch_upsert_partial(sub);
-      },
-      [](const Status& st) -> const Status& { return st; },
-      [&](u64 pos, const Status& st, const Status*) { out[pos] = st; });
-  return out;
+  return batch_window({.upserts = {ops.begin(), ops.end()}}).upserts;
 }
 
 std::vector<ShardedPimStore::FlagResult> ShardedPimStore::batch_update(
     std::span<const std::pair<Key, Value>> ops) {
-  std::vector<FlagResult> out(ops.size());
-  replicated_write<std::pair<Key, Value>, core::PimSkipList::PartialFlag>(
-      ops, core::LogRecord::kUpdate,
-      [](core::PimSkipList& list, const std::vector<std::pair<Key, Value>>& sub) {
-        return list.batch_update_partial(sub);
-      },
-      [](const core::PimSkipList::PartialFlag& r) -> const Status& { return r.status; },
-      [&](u64 pos, const Status& st, const core::PimSkipList::PartialFlag* r) {
-        out[pos] = FlagResult{st, r != nullptr && r->found};
-      });
-  return out;
+  return batch_window({.updates = {ops.begin(), ops.end()}}).updates;
 }
 
 std::vector<ShardedPimStore::FlagResult> ShardedPimStore::batch_delete(
     std::span<const Key> keys) {
-  std::vector<FlagResult> out(keys.size());
-  replicated_write<Key, core::PimSkipList::PartialFlag>(
-      keys, core::LogRecord::kDelete,
-      [](core::PimSkipList& list, const std::vector<Key>& sub) {
-        return list.batch_delete_partial(sub);
-      },
-      [](const core::PimSkipList::PartialFlag& r) -> const Status& { return r.status; },
-      [&](u64 pos, const Status& st, const core::PimSkipList::PartialFlag* r) {
-        out[pos] = FlagResult{st, r != nullptr && r->found};
-      });
-  return out;
+  return batch_window({.deletes = {keys.begin(), keys.end()}}).deletes;
+}
+
+std::vector<ShardedPimStore::NearResult> ShardedPimStore::batch_successor(
+    std::span<const Key> keys) {
+  return batch_window({.successors = {keys.begin(), keys.end()}}).successors;
+}
+
+std::vector<ShardedPimStore::NearResult> ShardedPimStore::batch_predecessor(
+    std::span<const Key> keys) {
+  return batch_window({.predecessors = {keys.begin(), keys.end()}}).predecessors;
 }
 
 // ---------------- observability ----------------

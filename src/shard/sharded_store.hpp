@@ -14,6 +14,9 @@
 //    yields kShardDown for exactly its keys; a dead module inside a live
 //    shard yields kUnavailable for exactly its keys (the PR 3 partial-
 //    batch contract, composed one level up). A batch is never wedged.
+//    The six point ops are one fan-out: batch_window takes a batch per
+//    class and calls each member at most once per wave, and each point
+//    op is its one-class case. The range ops keep their own.
 //
 //  * Replication (ShardOptions::replication = R, default 1 == PR 6
 //    behavior bit-for-bit): writes dispatch to every live member of the
@@ -54,12 +57,12 @@
 //    served twice. pick_migration() chooses the split from per-shard
 //    load statistics (io share, per-module work CoV — the PR 4 metrics).
 //
-//  * Cross-shard range stitching: batch_successor / batch_predecessor
+//  * Cross-shard range stitching: successor / predecessor queries
 //    spill group-local misses to the neighboring group in key order
-//    (wave by wave), and range aggregates/collects split a query by the
-//    route table and merge per-group partial results — answers are
-//    bit-identical to a single-Machine PimSkipList holding the same
-//    contents.
+//    (follow-up waves of the window), and range aggregates/collects
+//    split a query by the route table and merge per-group partial
+//    results — answers are bit-identical to a single-Machine PimSkipList
+//    holding the same contents.
 //
 // Threading contract: the store's public API is driven by one caller
 // thread; only the fan-out phase is internally parallel. All routing,
@@ -181,27 +184,59 @@ class ShardedPimStore {
     bool found = false;
     Value value = 0;
   };
-  std::vector<GetResult> batch_get(std::span<const Key> keys);
-
-  /// Per-position status; kOk positions are acknowledged (group-
-  /// journaled, committed on >= write_quorum live replicas) and survive
-  /// any later shard failover. kNoQuorum positions are NOT acked.
-  std::vector<Status> batch_upsert(std::span<const std::pair<Key, Value>> ops);
-
   struct FlagResult {
     Status status;
     bool found = false;  // update: key existed; delete: key erased
   };
-  std::vector<FlagResult> batch_update(std::span<const std::pair<Key, Value>> ops);
-  std::vector<FlagResult> batch_delete(std::span<const Key> keys);
-
-  // ---------------- cross-shard ordered operations ----------------
-
   struct NearResult {
     Status status;
     bool found = false;
     Key key = 0;
   };
+
+  /// A window of point ops: one batch per class. The store runs the
+  /// classes in this order, so the writes land before the reads and a
+  /// read observes the window's own acked writes.
+  struct WindowRequest {
+    std::vector<std::pair<Key, Value>> upserts{};
+    std::vector<std::pair<Key, Value>> updates{};
+    std::vector<Key> deletes{};
+    std::vector<Key> gets{};
+    std::vector<Key> successors{};
+    std::vector<Key> predecessors{};
+  };
+  /// Per-position results, one vector per class of the request.
+  struct WindowResult {
+    std::vector<Status> upserts;
+    std::vector<FlagResult> updates;
+    std::vector<FlagResult> deletes;
+    std::vector<GetResult> gets;
+    std::vector<NearResult> successors;
+    std::vector<NearResult> predecessors;
+  };
+  /// Runs a whole window as one fan-out. The first wave makes one job per
+  /// group and calls each slot at most once: writes go to every live
+  /// member, and reads ride on the serving member's call (the consulted
+  /// members' calls for quorum reads). A member runs its share class by
+  /// class and keeps each class's result or StatusError, so a read that
+  /// throws never discards a write the member already applied. Each
+  /// group settles its writes first (quorum merge, one journal record
+  /// per write class), then its reads. Follow-up waves carry only reads:
+  /// gets retargeted off a member that failed them, successor and
+  /// predecessor spills, and the reads of a group whose writes this wave
+  /// left dirty or whose job was fenced; those are served again through
+  /// serving_member, so no read sees a write its group did not ack.
+  WindowResult batch_window(const WindowRequest& req);
+
+  /// The one-class windows. Reads retarget to another live member when
+  /// the serving one fails; R = 1 degenerates to a single attempt.
+  std::vector<GetResult> batch_get(std::span<const Key> keys);
+  /// Per-position status; kOk positions are acknowledged (group-
+  /// journaled, committed on >= write_quorum live replicas) and survive
+  /// any later shard failover. kNoQuorum positions are NOT acked.
+  std::vector<Status> batch_upsert(std::span<const std::pair<Key, Value>> ops);
+  std::vector<FlagResult> batch_update(std::span<const std::pair<Key, Value>> ops);
+  std::vector<FlagResult> batch_delete(std::span<const Key> keys);
   /// Smallest stored key >= query, stitched across group boundaries: a
   /// miss in the owning group spills to the next group in key order. A
   /// query whose answer could live in a dead group reports kShardDown
@@ -209,6 +244,8 @@ class ShardedPimStore {
   std::vector<NearResult> batch_successor(std::span<const Key> keys);
   /// Largest stored key <= query (mirror stitching, spills backwards).
   std::vector<NearResult> batch_predecessor(std::span<const Key> keys);
+
+  // ---------------- cross-shard range operations ----------------
 
   using RangeAgg = core::PimSkipList::RangeAgg;
   using RangeQuery = core::PimSkipList::RangeQuery;
@@ -295,6 +332,8 @@ class ShardedPimStore {
   /// Results / acks / movement steps refused because their captured
   /// epoch was stale (fleet-wide, monotonic).
   u64 fence_refusals() const { return fence_refusals_; }
+  /// Waves that called at least one member (fleet-wide, monotonic).
+  u64 waves() const { return waves_; }
   /// Quorum-read positions resolved from the group journal because the
   /// consulted members disagreed or faulted.
   u64 quorum_read_resolves() const { return quorum_read_resolves_; }
@@ -511,12 +550,6 @@ class ShardedPimStore {
   /// Epoch a dispatch to `group` should capture right now (the group's
   /// fence_epoch, aged by the zombie test hook when armed).
   u64 dispatch_epoch(u32 group);
-  /// Quorum read path (ShardOptions::quorum_reads && write_quorum > 1).
-  std::vector<GetResult> quorum_batch_get(std::span<const Key> keys);
-  /// Buckets positions [0, n) by group_of(i): (group, positions) pairs in
-  /// first-seen group order, each group's positions ascending.
-  template <typename GroupOf>
-  std::vector<std::pair<u32, std::vector<u64>>> split_by_group(u64 n, GroupOf&& group_of) const;
 
   // ----- the shard wave -----
   // Every fan-out runs as waves of one shape. The op splits its batch
@@ -524,10 +557,10 @@ class ShardedPimStore {
   // and naming the member slots it calls; run_wave runs every call at
   // once; settle_wave refuses stale jobs, hands the rest to the op's
   // merge and then feeds the shard breaker. Each op writes only its own
-  // split and merge.
+  // split and merge: batch_window for the point ops, and the range ops.
 
-  /// One member call of a wave: the slot it runs on, what it returned,
-  /// and the StatusError it threw instead, if any.
+  /// One member call of a wave: the slot it runs on, the output it
+  /// filled, and the StatusError it threw, if any.
   template <typename Out>
   struct WaveCall {
     u32 slot = 0;
@@ -544,9 +577,9 @@ class ShardedPimStore {
     u64 epoch = 0;
     std::vector<Call> calls;
   };
-  /// Runs fn(member list, job) for every call of every job at once on
-  /// pool_ and records a StatusError per call. fn runs concurrently, so
-  /// it may only read shared state.
+  /// Runs fn(member list, job, call output) for every call of every job
+  /// at once on pool_ and records a StatusError per call. fn runs
+  /// concurrently, so it may only read shared state.
   template <typename Job, typename Fn>
   void run_wave(std::vector<Job>& jobs, Fn&& fn);
   /// Settles a run wave job by job, in dispatch order. A job whose group
@@ -562,18 +595,6 @@ class ShardedPimStore {
   Status no_quorum_status(u32 group, u32 acked) const;
   Status fenced_status(u32 group, u64 seen, u64 current) const;
 
-  /// Shared driver for the three write ops: fans each group sub-batch
-  /// out to EVERY live member in one wave, merges per-position with
-  /// quorum semantics, journals acked positions, feeds the breaker.
-  /// run(list, sub) -> vector<Partial> (throws StatusError on faults);
-  /// status_of(Partial) -> const Status&; emit(pos, status, Partial*)
-  /// writes the caller-visible result (Partial* null when not acked).
-  template <typename Sub, typename Partial, typename Run, typename StatusOf,
-            typename Emit>
-  void replicated_write(std::span<const Sub> items, core::LogRecord::Kind kind,
-                        Run&& run, StatusOf&& status_of, Emit&& emit);
-  /// batch_successor (forward) and batch_predecessor: one stitch loop.
-  std::vector<NearResult> batch_near(std::span<const Key> keys, bool forward);
   /// Splits every query by the route table into clamped pieces, one job
   /// per serving slot (Job has a `pieces` vector of RangePiece); a piece
   /// whose group is all dead calls down(query, kShardDown status).
@@ -638,31 +659,14 @@ class ShardedPimStore {
   std::vector<u64> aged_dispatches_;
   u64 fence_refusals_ = 0;
   u64 quorum_read_resolves_ = 0;
+  u64 waves_ = 0;
 };
-
-template <typename GroupOf>
-std::vector<std::pair<u32, std::vector<u64>>> ShardedPimStore::split_by_group(
-    u64 n, GroupOf&& group_of) const {
-  // Positions are appended in caller order, so each group is ascending —
-  // the merge phase relies on that for journal record order.
-  std::vector<std::pair<u32, std::vector<u64>>> out;
-  std::vector<u32> bucket_of(groups_.size(), static_cast<u32>(-1));
-  for (u64 i = 0; i < n; ++i) {
-    const u32 g = group_of(i);
-    if (bucket_of[g] == static_cast<u32>(-1)) {
-      bucket_of[g] = static_cast<u32>(out.size());
-      out.emplace_back(g, std::vector<u64>{});
-    }
-    out[bucket_of[g]].second.push_back(i);
-  }
-  return out;
-}
 
 template <typename Job, typename Fn>
 void ShardedPimStore::run_wave(std::vector<Job>& jobs, Fn&& fn) {
-  // A wave calls each slot at most once: a read sends one call to each
-  // group's serving member, a write one to each live member of its group,
-  // and the range ops merge a slot's pieces into one job. The pool runs
+  // A wave calls each slot at most once: a window job sends one call to
+  // each live member of its group that runs writes or reads, and the
+  // range ops merge a slot's pieces into one job. The pool runs
   // the calls at the same time, and two calls on one slot would drive
   // one Machine from two threads.
   std::vector<std::pair<const Job*, typename Job::Call*>> calls;
@@ -674,11 +678,13 @@ void ShardedPimStore::run_wave(std::vector<Job>& jobs, Fn&& fn) {
       calls.emplace_back(&j, &c);
     }
   }
+  if (calls.empty()) return;
+  ++waves_;
   pool_.run_batch(
       [&](u32 i) {
         const auto [job, call] = calls[i];
         try {
-          call->out = fn(*slots_[call->slot].list, *job);
+          fn(*slots_[call->slot].list, *job, call->out);
         } catch (const StatusError& e) {
           call->failure = e.status();
         }

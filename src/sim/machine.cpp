@@ -484,13 +484,7 @@ void Machine::apply_write(const ModuleCtx::PendingWrite& w) {
 void Machine::deliver_faulty(ModuleId m, const Task& task, u32 attempt) {
   touch_round(m);
   auto& pm = per_module_[m];
-  // Every delivery attempt occupies the h-relation — except a hedge
-  // reroute to a HIGHER module id during the main delivery loop. The old
-  // full-scan engine reset round_in at each module's own iteration, which
-  // silently discarded those charges; the sparse engine skips them at the
-  // source so per-round h stays bit-identical.
-  const bool counted = delivering_source_ == kNoDeliverySource || m <= delivering_source_;
-  if (counted) ++pm.round_in;
+  ++pm.round_in;  // every delivery attempt occupies the h-relation
   auto& fc = fault_.counters();
   // One lambda for every outcome that ends in a retransmission: drops and
   // checksum-rejected corruption share the epoch-tagged retry machinery
@@ -567,7 +561,7 @@ void Machine::deliver_faulty(ModuleId m, const Task& task, u32 attempt) {
     // The duplicate copy occupies the network but is discarded by the
     // receiver's filter before processing — charged, never executed.
     ++fc.dups;
-    if (counted) ++pm.round_in;
+    ++pm.round_in;
   }
   pm.queue.push_back(delivered);
   strikes_[m] = 0;  // a successful delivery resets the breaker's count
@@ -618,9 +612,7 @@ void Machine::run_round() {
       pm.round_in = pending_[m].size();
       for (auto& task : pending_[m]) pm.queue.push_back(task);
     } else {
-      delivering_source_ = m;
       for (auto& task : pending_[m]) deliver_faulty(m, task, /*attempt=*/1);
-      delivering_source_ = kNoDeliverySource;
     }
     pending_[m].clear();
   }

@@ -469,13 +469,6 @@ class Machine {
   std::vector<RetrySend> retry_pass_;              // pooled retransmission pass
   std::vector<u64> trace_in_, trace_out_, trace_work_;  // pooled tracer scratch
   bool round_faulty_ = false;  // cached fault_.active() for the round
-  // Module whose pending list is being delivered in the main delivery
-  // loop, or kNoDeliverySource outside it. Used to reproduce the full-scan
-  // engine's h-accounting exactly: that engine reset round_in at each
-  // module's own loop iteration, which discarded charges a hedge reroute
-  // had already made to a higher module id.
-  static constexpr ModuleId kNoDeliverySource = ~ModuleId{0};
-  ModuleId delivering_source_ = kNoDeliverySource;
 
   // ---- fault state ----
   FaultInjector fault_;

@@ -716,6 +716,32 @@ TEST(FaultMachine, HedgedSendToDownModuleReroutesInsteadOfDying) {
   EXPECT_THROW(bare.run_until_quiescent(), StatusError);
 }
 
+TEST(FaultMachine, HedgeRerouteIsChargedWhicheverModuleItLandsOn) {
+  // Every delivery attempt occupies the h-relation, the reroute of a
+  // hedged send included, whether the replica it lands on has a higher
+  // or a lower id than the down module.
+  Handler echo = [](ModuleCtx& ctx, std::span<const u64> a) {
+    ctx.charge(1);
+    ctx.reply(a[0], 5);
+  };
+  std::vector<std::pair<u64, u64>> io_and_messages;
+  for (ModuleId down = 0; down < 4; ++down) {
+    MachineOptions options;
+    options.hedge_stall_rounds = 2;
+    Machine machine(4, options);
+    machine.set_fault_plan(enabled_plan(44));
+    machine.crash_module(down);
+    machine.mailbox().assign(1, 0);
+    machine.send_hedged(down, &echo, {0ull});
+    machine.run_until_quiescent();
+    ASSERT_EQ(machine.mailbox()[0], 5u);
+    io_and_messages.emplace_back(machine.io_time(), machine.messages());
+  }
+  for (ModuleId down = 1; down < 4; ++down) {
+    EXPECT_EQ(io_and_messages[down], io_and_messages[0]) << "down module " << down;
+  }
+}
+
 TEST(FaultMachine, HedgingDisabledKeepsMetricsBitIdentical) {
   // With hedge_stall_rounds == 0 a hedged send must be indistinguishable
   // from a plain send, even under faults (stalls included).

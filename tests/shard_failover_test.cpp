@@ -148,7 +148,7 @@ TEST(ShardedStore, RouterAndBatchOpsMatchReference) {
 
 TEST(ShardedStore, ParallelAndSerialDispatchAgree) {
   // Every fan-out, first at R = 1, then at R = 2 with quorum writes and
-  // quorum reads (quorum_batch_get and the multi-member write merge).
+  // quorum reads (the quorum consult and the multi-member write merge).
   for (const u32 replication : {1u, 2u}) {
     SCOPED_TRACE("replication " + std::to_string(replication));
     ShardOptions opts = small_opts(/*parallel=*/true);
@@ -239,6 +239,242 @@ TEST(ShardedStore, ParallelAndSerialDispatchAgree) {
     EXPECT_EQ(par_store.size(), ser_store.size());
     EXPECT_EQ(par_store.quorum_read_resolves(), ser_store.quorum_read_resolves());
   }
+}
+
+// ---------------------------------------------------------------------
+// The point-op window (batch_window): one fan-out for all six classes.
+// ---------------------------------------------------------------------
+
+void expect_same(const ShardedPimStore::WindowResult& a, const ShardedPimStore::WindowResult& b) {
+  ASSERT_EQ(a.upserts.size(), b.upserts.size());
+  for (u64 i = 0; i < a.upserts.size(); ++i) EXPECT_EQ(a.upserts[i].code(), b.upserts[i].code());
+  for (const auto& [x, y] : {std::pair{&a.updates, &b.updates}, {&a.deletes, &b.deletes}}) {
+    ASSERT_EQ(x->size(), y->size());
+    for (u64 i = 0; i < x->size(); ++i) {
+      EXPECT_EQ((*x)[i].status.code(), (*y)[i].status.code());
+      EXPECT_EQ((*x)[i].found, (*y)[i].found);
+    }
+  }
+  ASSERT_EQ(a.gets.size(), b.gets.size());
+  for (u64 i = 0; i < a.gets.size(); ++i) {
+    EXPECT_EQ(a.gets[i].status.code(), b.gets[i].status.code());
+    EXPECT_EQ(a.gets[i].found, b.gets[i].found);
+    EXPECT_EQ(a.gets[i].value, b.gets[i].value);
+  }
+  for (const auto& [x, y] :
+       {std::pair{&a.successors, &b.successors}, {&a.predecessors, &b.predecessors}}) {
+    ASSERT_EQ(x->size(), y->size());
+    for (u64 i = 0; i < x->size(); ++i) {
+      EXPECT_EQ((*x)[i].status.code(), (*y)[i].status.code());
+      EXPECT_EQ((*x)[i].found, (*y)[i].found);
+      EXPECT_EQ((*x)[i].key, (*y)[i].key);
+    }
+  }
+}
+
+/// The six one-class calls of a window, in its class order.
+ShardedPimStore::WindowResult run_one_class_calls(ShardedPimStore& store,
+                                                  const ShardedPimStore::WindowRequest& w) {
+  ShardedPimStore::WindowResult r;
+  r.upserts = store.batch_upsert(w.upserts);
+  r.updates = store.batch_update(w.updates);
+  r.deletes = store.batch_delete(w.deletes);
+  r.gets = store.batch_get(w.gets);
+  r.successors = store.batch_successor(w.successors);
+  r.predecessors = store.batch_predecessor(w.predecessors);
+  return r;
+}
+
+TEST(ShardedStore, WindowMatchesOneClassCallsInOneWave) {
+  // A fault-free window makes, on every member machine, the same batch
+  // calls in the same order as the six one-class calls do on a twin
+  // store: the results and every slot's model metrics are equal, and a
+  // window whose ordered reads do not spill runs as exactly one wave.
+  struct Config {
+    u32 replication, write_quorum;
+    bool quorum_reads;
+  };
+  for (const Config cfg : {Config{1, 1, false}, Config{2, 2, false}, Config{2, 2, true}}) {
+    SCOPED_TRACE("R " + std::to_string(cfg.replication) + " wq " +
+                 std::to_string(cfg.write_quorum) + " quorum reads " +
+                 std::to_string(cfg.quorum_reads));
+    ShardOptions opts = small_opts();
+    opts.replication = cfg.replication;
+    opts.write_quorum = cfg.write_quorum;
+    opts.quorum_reads = cfg.quorum_reads;
+    ShardedPimStore a(opts);
+    ShardedPimStore b(opts);
+    rnd::Xoshiro256ss rng(0x3141D0u);
+    const auto pairs = test::make_sorted_pairs(800, rng);
+    a.build(pairs);
+    b.build(pairs);
+
+    // Stored keys split five ways. The window never deletes a key it
+    // probes, and a probe of a stored key answers inside its own group,
+    // so no successor or predecessor spills.
+    ShardedPimStore::WindowRequest w;
+    for (u64 i = 0; i + 4 < pairs.size(); i += 5) {
+      w.updates.emplace_back(pairs[i].first, rng());
+      w.deletes.push_back(pairs[i + 1].first);
+      w.successors.push_back(pairs[i + 2].first);
+      w.predecessors.push_back(pairs[i + 3].first);
+      w.gets.push_back(pairs[i + 4].first);
+    }
+    for (u32 i = 0; i < 64; ++i) {
+      w.upserts.emplace_back(rng.range(0, 1'000'000'000), rng());
+      w.gets.push_back(w.upserts.back().first);
+      w.gets.push_back(rng.range(0, 1'000'000'000));
+    }
+    const u64 waves = a.waves();
+    const auto got = a.batch_window(w);
+    EXPECT_EQ(a.waves() - waves, 1u);
+    expect_same(got, run_one_class_calls(b, w));
+    for (const auto& s : got.successors) EXPECT_TRUE(s.found);
+    for (u32 s = 0; s < a.slots(); ++s) {
+      const sim::Machine* ma = a.shard_machine(s);
+      const sim::Machine* mb = b.shard_machine(s);
+      ASSERT_EQ(ma == nullptr, mb == nullptr);
+      if (ma == nullptr) continue;
+      EXPECT_EQ(ma->rounds(), mb->rounds()) << "slot " << s;
+      EXPECT_EQ(ma->io_time(), mb->io_time()) << "slot " << s;
+      EXPECT_EQ(ma->messages(), mb->messages()) << "slot " << s;
+      for (u32 m = 0; m < ma->modules(); ++m) {
+        EXPECT_EQ(ma->module_work(m), mb->module_work(m)) << "slot " << s << " module " << m;
+      }
+    }
+
+    // Random probes spill across groups in follow-up waves; the answers
+    // still match the one-class calls.
+    ShardedPimStore::WindowRequest spill;
+    for (u32 i = 0; i < 64; ++i) {
+      spill.upserts.emplace_back(rng.range(0, 1'000'000'000), rng());
+      spill.deletes.push_back(rng.range(0, 1'000'000'000));
+      spill.gets.push_back(rng.range(0, 1'000'000'000));
+      spill.successors.push_back(rng.range(0, 1'000'000'000));
+      spill.predecessors.push_back(rng.range(0, 1'000'000'000));
+    }
+    spill.successors.push_back(kMaxKey);  // answers at the top edge
+    spill.predecessors.push_back(kMinKey);
+    expect_same(a.batch_window(spill), run_one_class_calls(b, spill));
+    a.check_invariants();
+  }
+}
+
+TEST(ShardedStore, WindowReadNeverSeesItsRefusedWrite) {
+  // R = 2, write quorum 2, one member dead: the window's upsert reaches
+  // one member and is refused, and the same window's get of that key is
+  // served again after the refusal, from the converged survivor.
+  ShardOptions opts = small_opts();
+  opts.replication = 2;
+  opts.write_quorum = 2;
+  ShardedPimStore store(opts);
+  rnd::Xoshiro256ss rng(0x0D15C0u);
+  const auto pairs = test::make_sorted_pairs(400, rng);
+  store.build(pairs);
+  const auto [k, v] = pairs[7];
+  const u32 group = store.group_of(store.route(k));
+  store.kill_shard(store.group_members(group)[0]);
+
+  ShardedPimStore::WindowRequest w;
+  w.upserts = {{k, v + 1}};
+  w.gets = {k};
+  const auto r = store.batch_window(w);
+  EXPECT_EQ(r.upserts[0].code(), StatusCode::kNoQuorum) << r.upserts[0].to_string();
+  ASSERT_TRUE(r.gets[0].status.ok()) << r.gets[0].status.to_string();
+  EXPECT_TRUE(r.gets[0].found);
+  EXPECT_EQ(r.gets[0].value, v) << "a read saw the write its group refused";
+}
+
+TEST(ShardedStore, WindowReadSeesTheAckedWriteItsServingMemberMissed) {
+  // R = 3, write quorum 2: half the modules of the group's serving
+  // member are down, so it misses the writes those modules home while
+  // the other two members ack them. The window's gets of the written
+  // keys are served again after the merge, from the serving member once
+  // it has converged, and return the new acked values.
+  ShardOptions opts = small_opts();
+  opts.shards = 2;
+  opts.replication = 3;
+  opts.write_quorum = 2;
+  ShardedPimStore store(opts);
+  rnd::Xoshiro256ss rng(0x5EA3D0u);
+  const auto pairs = test::make_sorted_pairs(400, rng);
+  store.build(pairs);
+  const u32 primary = store.group_primary(0);
+  const auto [lo, hi] = store.group_range(0);
+  const Key probe = pairs.front().first;
+  ASSERT_EQ(store.route(probe), primary);
+
+  // The crashes strike during one of the primary's partial gets, which
+  // reads around a down module instead of recovering it.
+  const sim::Machine* m = store.shard_machine(primary);
+  sim::FaultPlan plan;
+  plan.enabled = true;
+  plan.seed = 0x0FF11Eu;
+  const u64 at = m->rounds() + 64;
+  for (u32 mod = 0; mod < opts.modules_per_shard / 2; ++mod) {
+    plan.crashes.push_back(sim::CrashEvent{mod, at});
+  }
+  store.set_shard_fault_plan(primary, plan);
+  ASSERT_LT(m->rounds(), at);
+  for (u32 i = 0; i < 256 && m->rounds() <= at; ++i) (void)store.batch_get(std::vector<Key>{probe});
+  ASSERT_EQ(m->down_count(), opts.modules_per_shard / 2);
+  ASSERT_EQ(store.route(probe), primary);
+
+  ShardedPimStore::WindowRequest w;
+  for (u32 i = 0; i < 32; ++i) {
+    const Key k = std::max<Key>(lo, 0) + static_cast<Key>(rng.below(400'000'000));
+    ASSERT_LT(k, hi);
+    w.upserts.emplace_back(k, rng());
+    w.gets.push_back(k);
+  }
+  const u64 waves = store.waves();
+  const auto r = store.batch_window(w);
+  EXPECT_EQ(store.waves() - waves, 2u);
+  // serving_member converged the primary (its repair recovers the down
+  // modules) before it served the gets again.
+  EXPECT_EQ(store.shard_machine(primary)->down_count(), 0u);
+  std::map<Key, Value> first;  // duplicate upsert keys: the first occurrence wins
+  for (const auto& [k, v] : w.upserts) first.emplace(k, v);
+  for (u64 i = 0; i < w.gets.size(); ++i) {
+    EXPECT_TRUE(r.upserts[i].ok()) << r.upserts[i].to_string();
+    ASSERT_TRUE(r.gets[i].status.ok()) << r.gets[i].status.to_string();
+    EXPECT_TRUE(r.gets[i].found);
+    EXPECT_EQ(r.gets[i].value, first.at(w.gets[i])) << "key " << w.gets[i];
+  }
+  store.check_invariants();
+}
+
+TEST(ShardedStore, WindowFencedWritesStayInvisibleAndGetsServeAtTheNewEpoch) {
+  // A zombie dispatch (test_age_dispatch): the window's writes come back
+  // kFencedEpoch and are never journaled or seen, and its gets ask once
+  // more at the group's current epoch and are served.
+  ShardOptions opts = small_opts();
+  opts.replication = 2;
+  ShardedPimStore store(opts);
+  rnd::Xoshiro256ss rng(0xFE7CEDu);
+  const auto pairs = test::make_sorted_pairs(400, rng);
+  store.build(pairs);
+  const auto [k, v] = pairs[3];
+  const u32 group = store.group_of(store.route(k));
+  const u64 journal = store.group_journal_records(group);
+  const u64 refusals = store.fence_refusals();
+
+  store.test_age_dispatch(group);
+  ShardedPimStore::WindowRequest w;
+  w.upserts = {{k, v + 1}};
+  w.deletes = {pairs[4].first};
+  w.gets = {k, pairs[4].first};
+  const auto r = store.batch_window(w);
+  EXPECT_EQ(r.upserts[0].code(), StatusCode::kFencedEpoch) << r.upserts[0].to_string();
+  EXPECT_EQ(r.deletes[0].status.code(), StatusCode::kFencedEpoch);
+  EXPECT_EQ(store.group_journal_records(group), journal);
+  EXPECT_GT(store.fence_refusals(), refusals);
+  for (u64 i = 0; i < 2; ++i) {
+    ASSERT_TRUE(r.gets[i].status.ok()) << r.gets[i].status.to_string();
+    EXPECT_TRUE(r.gets[i].found);
+    EXPECT_EQ(r.gets[i].value, pairs[3 + i].second) << "a fenced write is visible";
+  }
+  store.check_invariants();
 }
 
 TEST(ShardedStore, KillFailsExactlyItsKeysAndFailoverLosesNoAckedWrite) {
