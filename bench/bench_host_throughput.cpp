@@ -19,11 +19,12 @@
 //                         construction measured not assumed)
 //   rounds, batch, P      scale context for the rates
 //
-// CI runs this in Release with --benchmark_out=BENCH_host.json and fails
-// if speedup_vs_sequential for host_get/256/par drops below 1.0 — a
-// deliberately generous floor (noisy shared runners), meant to catch the
-// parallel executor regressing into a correctness-testing-only mode, not
-// to pin an exact speedup.
+// CI runs this in Release with --benchmark_out=BENCH_host.json, then runs
+// host_get/256/par again with --benchmark_repetitions=5 and fails if the
+// median speedup_vs_sequential drops below 1.0 — a deliberately generous
+// floor (noisy shared runners), meant to catch the parallel executor
+// regressing into a correctness-testing-only mode, not to pin an exact
+// speedup.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>

@@ -118,6 +118,17 @@ class NodeArena {
     return nodes_[slot];
   }
 
+  /// Host cache hint for a handler's prefetch hook: starts loading the
+  /// node at `slot` (both ends, as a Node may straddle two cache lines).
+  /// A hook sees raw argument words, so an out-of-range slot is ignored;
+  /// a freed slot's stale node is harmless, since nothing is read.
+  void prefetch(Slot slot) const {
+    if (slot >= nodes_.size()) return;
+    const char* p = reinterpret_cast<const char*>(&nodes_[slot]);
+    __builtin_prefetch(p);
+    __builtin_prefetch(p + sizeof(Node) - 1);
+  }
+
   /// Attaches (or fetches) leaf metadata for a slot.
   LeafMeta& leaf_meta(Slot slot) {
     auto [it, inserted] = leaf_meta_.try_emplace(slot);

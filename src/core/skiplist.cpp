@@ -119,6 +119,22 @@ PimSkipList::PimSkipList(sim::Machine& machine, Options opts)
   init_scrub_handlers();
   init_degraded_handlers();
 
+  // ---- prefetch hooks (host cache hints only; see sim::Handler) ----
+  // Each warms what its body reads first: the key's two cuckoo slots for
+  // the hash-routed probes, the target node for a search step or write.
+  const auto prefetch_slots = [this](ModuleId m, std::span<const u64> a) {
+    state_[m].key_to_leaf.prefetch(static_cast<Key>(a[1]));
+  };
+  h_get_.prefetch = prefetch_slots;
+  h_update_.prefetch = prefetch_slots;
+  h_delete_start_.prefetch = prefetch_slots;
+  h_search_.prefetch = [this](ModuleId m, std::span<const u64> a) {
+    prefetch_node(m, GPtr::decode(a[2]));
+  };
+  h_write_.prefetch = [this](ModuleId m, std::span<const u64> a) {
+    prefetch_node(m, GPtr::decode(a[0]));
+  };
+
   init_heads();
 }
 
@@ -175,6 +191,14 @@ const Node& PimSkipList::node_at(GPtr p) const {
   PIM_DCHECK(!p.is_null(), "deref of null GPtr");
   if (p.is_replicated()) return upper_.at(p.slot);
   return state_[p.module].arena.at(p.slot);
+}
+
+void PimSkipList::prefetch_node(ModuleId m, GPtr p) const {
+  if (p.is_replicated()) {
+    upper_.prefetch(p.slot);
+  } else if (p.module == m) {
+    state_[m].arena.prefetch(p.slot);
+  }
 }
 
 // ---------------- remote writes ----------------

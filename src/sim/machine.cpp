@@ -460,6 +460,14 @@ void Machine::broadcast(const Handler* fn, std::span<const u64> args) {
   for (ModuleId m = 0; m < modules(); ++m) enqueue_pending(m, task);
 }
 
+void Machine::prefetch_module(ModuleId m) {
+  const auto& q = per_module_[m].queue;
+  for (u64 i = 0; i < q.size(); ++i) {
+    const Task& task = q.at(i);
+    if (task.fn != nullptr && task.fn->prefetch) task.fn->prefetch(m, task.arg_span());
+  }
+}
+
 void Machine::execute_module(ModuleId m, ModuleCtx& ctx) {
   auto& pm = per_module_[m];
   // Only the tasks present at round start run this round.
@@ -673,6 +681,7 @@ void Machine::run_round() {
           const ModuleId m = touched_[i];
           if (round_faulty_ && (down_[m] || stalled_[m])) return;
           if (per_module_[m].queue.empty()) return;
+          prefetch_module(m);  // this lane's share of the prefetch pass
           ModuleCtx ctx(*this, m, &out_buffers_[m]);
           execute_module(m, ctx);
         },
@@ -697,19 +706,19 @@ void Machine::run_round() {
       }
       order = &exec_order_;
     }
-    if (!faulty) {
-      // Zero-fault fast path: no per-module fault state consulted at all.
-      for (ModuleId m : *order) {
-        if (per_module_[m].queue.empty()) continue;
-        ModuleCtx ctx(*this, m);
-        execute_module(m, ctx);
-      }
-    } else {
-      for (ModuleId m : *order) {
-        if (down_[m] || stalled_[m] || per_module_[m].queue.empty()) continue;
-        ModuleCtx ctx(*this, m);
-        execute_module(m, ctx);
-      }
+    // Prefetch pass: every task of the round is known before any body
+    // runs, so start all their cache misses first (one pass over the
+    // round, in execution order), then run the bodies.
+    const auto runs = [&](ModuleId m) {
+      return !per_module_[m].queue.empty() && !(faulty && (down_[m] || stalled_[m]));
+    };
+    for (ModuleId m : *order) {
+      if (runs(m)) prefetch_module(m);
+    }
+    for (ModuleId m : *order) {
+      if (!runs(m)) continue;
+      ModuleCtx ctx(*this, m);
+      execute_module(m, ctx);
     }
   }
 

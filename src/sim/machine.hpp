@@ -37,7 +37,13 @@
 // — idle modules contribute exact zeros, so every metric is bit-identical
 // to the dense engine. All per-round scratch (execution order, parallel
 // out-buffers, retransmission pass, per-module task rings) is pooled and
-// recycled across rounds.
+// recycled across rounds. Because a round delivers all its messages before
+// any module executes, the engine knows every task of the round up front:
+// after delivery, retries and the hedging prepass it calls each executing
+// task's optional prefetch hook (Handler::prefetch) before the first body
+// runs — one pass over the whole round in the sequential and shuffled
+// executors, one pass per claimed module on each kParallel lane. Hooks
+// only warm the host cache, so no model metric depends on them.
 #pragma once
 
 #include <functional>
@@ -403,6 +409,9 @@ class Machine {
   void count_out(ModuleId m, u64 n = 1);
   void note_slot_write(u64 slot);
   void apply_write(const ModuleCtx::PendingWrite& w);
+  /// Calls the prefetch hook of every task queued on m (host-only; see
+  /// Handler). run_round runs it before the round's first body.
+  void prefetch_module(ModuleId m);
   void execute_module(ModuleId m, ModuleCtx& ctx);
   void deliver_faulty(ModuleId m, const Task& task, u32 attempt);
   void fire_mem_corruption(ModuleId m);

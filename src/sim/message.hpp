@@ -18,6 +18,8 @@
 
 #include <functional>
 #include <span>
+#include <type_traits>
+#include <utility>
 
 #include "common/error.hpp"
 #include "common/types.hpp"
@@ -27,10 +29,36 @@ namespace pim::sim {
 
 class ModuleCtx;
 
-/// Module-side task body. Handlers live in the owning data structure (as
-/// std::function members, typically lambdas capturing the structure) and
-/// must outlive any machine round that can still deliver them.
-using Handler = std::function<void(ModuleCtx&, std::span<const u64>)>;
+/// Module-side task: a body plus an optional host-only prefetch hook.
+/// Handlers live in the owning data structure (typically built from
+/// lambdas capturing the structure) and must outlive any machine round
+/// that can still deliver them. A Handler converts from any callable with
+/// the body's signature, so `Handler h = [](ModuleCtx&, auto) {...}` gives
+/// a handler without a hook.
+///
+/// The hook exists for host speed only (DESIGN.md §5.9). Machine::run_round
+/// calls `prefetch(module, args)` once for every task the round will
+/// execute, after delivery and before the first body runs, so the host can
+/// start the cache misses of a whole round at once. A hook may only issue
+/// prefetches of what its body reads first, and must be safe on any
+/// argument words (bounds-checked): it charges nothing, replies nothing,
+/// forwards nothing, draws no randomness and writes no state, so every
+/// model metric is the same with or without it. It lives on the handler,
+/// not on the machine, because two structures may share one machine.
+struct Handler {
+  using Body = std::function<void(ModuleCtx&, std::span<const u64>)>;
+  using Prefetch = std::function<void(ModuleId, std::span<const u64>)>;
+
+  Handler() = default;
+  template <typename F>
+    requires(!std::is_same_v<std::remove_cvref_t<F>, Handler> && std::is_constructible_v<Body, F>)
+  Handler(F&& f) : body(std::forward<F>(f)) {}
+
+  void operator()(ModuleCtx& ctx, std::span<const u64> args) const { body(ctx, args); }
+
+  Body body;
+  Prefetch prefetch;  // empty = no hook
+};
 
 /// Maximum argument words per message. The model requires constant-size
 /// messages; this is that constant. PIM_CHECKed at send time.

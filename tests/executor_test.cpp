@@ -59,12 +59,25 @@ TEST(ParallelExecutor, SkipListWorkloadBitIdentical) {
     std::vector<Key> dels;
     for (int i = 0; i < 100; ++i) dels.push_back(ups[i].first);
     list.batch_delete(dels);
+
+    // Stored, deleted and never-stored keys, so the get and update
+    // handlers both hit and miss.
+    std::vector<Key> probe;
+    for (u64 i = 0; i < pairs.size(); i += 3) probe.push_back(pairs[i].first);
+    for (int i = 0; i < 200; i += 2) probe.push_back(ups[i].first);
+    for (const Key k : test::random_keys(100, rng)) probe.push_back(k);
+    std::vector<std::pair<Key, Value>> upd;
+    for (const Key k : probe) upd.push_back({k, rng()});
+    list.batch_update(std::span<const std::pair<Key, Value>>(upd).subspan(0, upd.size() / 2));
+    std::vector<std::pair<bool, Value>> got;
+    for (const auto& g : list.batch_get(probe)) got.push_back({g.found, g.value});
+    const auto updated = list.batch_update(upd);
     list.check_invariants();
 
     std::vector<Key> succ_keys;
     for (const auto& s : succ) succ_keys.push_back(s.found ? s.key : kMinKey);
-    return std::make_tuple(succ_keys, list.size(), machine.io_time(), machine.messages(),
-                           machine.rounds());
+    return std::make_tuple(succ_keys, got, updated, list.size(), machine.io_time(),
+                           machine.messages(), machine.rounds());
   };
   EXPECT_EQ(run(ExecOrder::kSequential), run(ExecOrder::kParallel));
 }

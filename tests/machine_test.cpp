@@ -3,6 +3,7 @@
 // order independence.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <vector>
 
 #include "sim/machine.hpp"
@@ -209,6 +210,78 @@ TEST(Machine, ConstantMessageSizeEnforced) {
   Handler noop = [](ModuleCtx&, std::span<const u64>) {};
   std::vector<u64> too_big(kMaxTaskArgs + 1, 0);
   EXPECT_THROW(machine.send(0, &noop, std::span<const u64>(too_big)), std::logic_error);
+}
+
+// The prefetch hook is a host cache hint (Handler::prefetch). Chains of
+// forwarded tasks, each with its own id, run once with a recording hook and
+// once on a twin whose handler has none: every executed task's hook runs
+// exactly once and before its body, and the twin's mailbox and metrics
+// match. The faulty run adds drops, dups and stalls, so delivered tasks
+// wait out stalls and retries before they execute.
+TEST(Machine, PrefetchHookRunsOncePerTaskBeforeItsBody) {
+  constexpr u32 kModules = 16;
+  constexpr u64 kChains = 64;
+  constexpr u64 kHops = 5;
+  constexpr u64 kTasks = kChains * kHops;
+  for (const ExecOrder order :
+       {ExecOrder::kSequential, ExecOrder::kShuffled, ExecOrder::kParallel}) {
+    for (const bool faulty : {false, true}) {
+      SCOPED_TRACE(testing::Message() << "order " << static_cast<int>(order) << ", faulty "
+                                      << faulty);
+      // One clock orders hooks and bodies. Task id i is only touched on the
+      // lane that runs its module, so the per-id slots need no lock.
+      std::atomic<u64> clock{0};
+      std::vector<u64> hooks(kTasks, 0), bodies(kTasks, 0);
+      std::vector<u64> hook_at(kTasks, 0), body_at(kTasks, 0);
+      const auto run = [&](bool hooked) {
+        MachineOptions opts;
+        opts.order = order;
+        Machine machine(kModules, opts);
+        machine.mailbox().assign(kTasks, 0);
+        if (faulty) {
+          FaultPlan plan;
+          plan.enabled = true;
+          plan.seed = 7;
+          plan.drop_prob = 0.1;
+          plan.dup_prob = 0.1;
+          plan.stall_prob = 0.2;
+          plan.max_send_attempts = 20;
+          machine.set_fault_plan(plan);
+        }
+        Handler hop;
+        hop.body = [&](ModuleCtx& ctx, std::span<const u64> a) {
+          const u64 id = a[0];
+          if (hooked) {
+            ++bodies[id];
+            body_at[id] = ++clock;
+          }
+          ctx.charge(1 + id % 3);
+          ctx.reply(id, a[1] + ctx.id());
+          if (id % kHops + 1 < kHops) {
+            ctx.forward((ctx.id() * 5 + 3) % kModules, &hop, {id + 1, a[1] * 3 + 1});
+          }
+        };
+        if (hooked) {
+          hop.prefetch = [&](ModuleId, std::span<const u64> a) {
+            ++hooks[a[0]];
+            hook_at[a[0]] = ++clock;
+          };
+        }
+        for (u64 c = 0; c < kChains; ++c) machine.send(c % kModules, &hop, {c * kHops, c});
+        machine.run_until_quiescent();
+        std::vector<u64> work;
+        for (ModuleId m = 0; m < kModules; ++m) work.push_back(machine.module_work(m));
+        return std::make_tuple(machine.mailbox(), machine.rounds(), machine.io_time(),
+                               machine.messages(), work);
+      };
+      EXPECT_EQ(run(true), run(false));
+      for (u64 id = 0; id < kTasks; ++id) {
+        EXPECT_EQ(bodies[id], 1u) << "task " << id;
+        EXPECT_EQ(hooks[id], 1u) << "task " << id;
+        EXPECT_LT(hook_at[id], body_at[id]) << "task " << id;
+      }
+    }
+  }
 }
 
 }  // namespace
