@@ -127,6 +127,10 @@ class NodeArena {
     const char* p = reinterpret_cast<const char*>(&nodes_[slot]);
     __builtin_prefetch(p);
     __builtin_prefetch(p + sizeof(Node) - 1);
+    // GCC counts a prefetch as no side effect: it would prove a function
+    // that only prefetches side-effect free and delete every call to it.
+    // The empty volatile asm is a side effect that emits no instruction.
+    asm volatile("" : : "r"(p));
   }
 
   /// Attaches (or fetches) leaf metadata for a slot.

@@ -82,6 +82,9 @@ class DeamortizedHash {
     const char* p = reinterpret_cast<const char*>(e);
     __builtin_prefetch(p);
     __builtin_prefetch(p + sizeof(Entry) - 1);
+    // GCC counts a prefetch as no side effect and would delete calls to
+    // a function that only prefetches; an empty volatile asm keeps them.
+    asm volatile("" : : "r"(p));
   }
 
   u64 slot1(Key key) const { return h1_(static_cast<u64>(key)) & (capacity_ - 1); }
