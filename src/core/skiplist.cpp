@@ -132,7 +132,9 @@ PimSkipList::PimSkipList(sim::Machine& machine, Options opts)
     prefetch_node(m, GPtr::decode(a[2]));
   };
   h_write_.prefetch = [this](ModuleId m, std::span<const u64> a) {
-    prefetch_node(m, GPtr::decode(a[0]));
+    const GPtr target = GPtr::decode(a[0]);
+    // Only module 0 applies a replicated write (see apply_write).
+    if (!target.is_replicated() || m == 0) prefetch_node(m, target);
   };
 
   init_heads();
