@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/prefetch.hpp"
 #include "common/types.hpp"
 
 namespace pim::core {
@@ -119,18 +120,11 @@ class NodeArena {
   }
 
   /// Host cache hint for a handler's prefetch hook: starts loading the
-  /// node at `slot` (both ends, as a Node may straddle two cache lines).
-  /// A hook sees raw argument words, so an out-of-range slot is ignored;
-  /// a freed slot's stale node is harmless, since nothing is read.
+  /// node at `slot`. A hook sees raw argument words, so an out-of-range
+  /// slot is ignored; a freed slot's stale node is harmless, since nothing
+  /// is read.
   void prefetch(Slot slot) const {
-    if (slot >= nodes_.size()) return;
-    const char* p = reinterpret_cast<const char*>(&nodes_[slot]);
-    __builtin_prefetch(p);
-    __builtin_prefetch(p + sizeof(Node) - 1);
-    // GCC counts a prefetch as no side effect: it would prove a function
-    // that only prefetches side-effect free and delete every call to it.
-    // The empty volatile asm is a side effect that emits no instruction.
-    asm volatile("" : : "r"(p));
+    if (slot < nodes_.size()) prefetch_object(&nodes_[slot]);
   }
 
   /// Attaches (or fetches) leaf metadata for a slot.

@@ -318,9 +318,6 @@ class PimSkipList {
   Node& node_at(GPtr p);
   const Node& node_at(GPtr p) const;
   GPtr lower_gptr(Key key, u32 level) const;
-  /// Prefetch-hook helper: warms p's node if module m can read it (a
-  /// replicated node, or one of m's own); ignores anything else.
-  void prefetch_node(ModuleId m, GPtr p) const;
 
   void probe_touch(GPtr p);
   void probe_reset();

@@ -42,22 +42,28 @@ PimSkipList::PimSkipList(sim::Machine& machine, Options opts)
 
   // ---- handlers ----
 
-  h_get_ = [this](sim::ModuleCtx& ctx, std::span<const u64> a) {
-    const u64 res_slot = a[0];
-    const Key key = static_cast<Key>(a[1]);
-    auto& st = state_[ctx.id()];
-    const auto hit = st.key_to_leaf.find(key);
-    ctx.charge(hit.work);
-    if (hit.found) {
-      const Node& leaf = st.arena.at(static_cast<Slot>(hit.value));
-      ctx.charge(1);
-      const u64 out[kGetStride] = {1, leaf.value};
-      ctx.reply_block(res_slot, out);
-    } else {
-      const u64 out[kGetStride] = {0, 0};
-      ctx.reply_block(res_slot, out);
-    }
-  };
+  // h_get_ and h_search_ carry prefetch hooks (host cache hints only; see
+  // sim::Handler): each warms what its body reads first.
+  h_get_ = {[this](sim::ModuleCtx& ctx, std::span<const u64> a) {
+              const u64 res_slot = a[0];
+              const Key key = static_cast<Key>(a[1]);
+              auto& st = state_[ctx.id()];
+              const auto hit = st.key_to_leaf.find(key);
+              ctx.charge(hit.work);
+              if (hit.found) {
+                const Node& leaf = st.arena.at(static_cast<Slot>(hit.value));
+                ctx.charge(1);
+                const u64 out[kGetStride] = {1, leaf.value};
+                ctx.reply_block(res_slot, out);
+              } else {
+                const u64 out[kGetStride] = {0, 0};
+                ctx.reply_block(res_slot, out);
+              }
+            },
+            // The key's two cuckoo slots.
+            [this](ModuleId m, std::span<const u64> a) {
+              state_[m].key_to_leaf.prefetch(static_cast<Key>(a[1]));
+            }};
 
   h_update_ = [this](sim::ModuleCtx& ctx, std::span<const u64> a) {
     const u64 res_slot = a[0];
@@ -109,7 +115,16 @@ PimSkipList::PimSkipList(sim::Machine& machine, Options opts)
 
   h_write_ = [this](sim::ModuleCtx& ctx, std::span<const u64> a) { apply_write(ctx, a); };
 
-  h_search_ = [this](sim::ModuleCtx& ctx, std::span<const u64> a) { search_step(ctx, a); };
+  h_search_ = {[this](sim::ModuleCtx& ctx, std::span<const u64> a) { search_step(ctx, a); },
+               // The step's node: a replicated one, or one of m's own.
+               [this](ModuleId m, std::span<const u64> a) {
+                 const GPtr p = GPtr::decode(a[2]);
+                 if (p.is_replicated()) {
+                   upper_.prefetch(p.slot);
+                 } else if (p.module == m) {
+                   state_[m].arena.prefetch(p.slot);
+                 }
+               }};
 
   init_upsert_handlers();
   init_delete_handlers();
@@ -118,24 +133,6 @@ PimSkipList::PimSkipList(sim::Machine& machine, Options opts)
   init_recovery_handlers();
   init_scrub_handlers();
   init_degraded_handlers();
-
-  // ---- prefetch hooks (host cache hints only; see sim::Handler) ----
-  // Each warms what its body reads first: the key's two cuckoo slots for
-  // the hash-routed probes, the target node for a search step or write.
-  const auto prefetch_slots = [this](ModuleId m, std::span<const u64> a) {
-    state_[m].key_to_leaf.prefetch(static_cast<Key>(a[1]));
-  };
-  h_get_.prefetch = prefetch_slots;
-  h_update_.prefetch = prefetch_slots;
-  h_delete_start_.prefetch = prefetch_slots;
-  h_search_.prefetch = [this](ModuleId m, std::span<const u64> a) {
-    prefetch_node(m, GPtr::decode(a[2]));
-  };
-  h_write_.prefetch = [this](ModuleId m, std::span<const u64> a) {
-    const GPtr target = GPtr::decode(a[0]);
-    // Only module 0 applies a replicated write (see apply_write).
-    if (!target.is_replicated() || m == 0) prefetch_node(m, target);
-  };
 
   init_heads();
 }
@@ -193,14 +190,6 @@ const Node& PimSkipList::node_at(GPtr p) const {
   PIM_DCHECK(!p.is_null(), "deref of null GPtr");
   if (p.is_replicated()) return upper_.at(p.slot);
   return state_[p.module].arena.at(p.slot);
-}
-
-void PimSkipList::prefetch_node(ModuleId m, GPtr p) const {
-  if (p.is_replicated()) {
-    upper_.prefetch(p.slot);
-  } else if (p.module == m) {
-    state_[m].arena.prefetch(p.slot);
-  }
 }
 
 // ---------------- remote writes ----------------

@@ -19,6 +19,7 @@
 
 #include "common/error.hpp"
 #include "common/math_util.hpp"
+#include "common/prefetch.hpp"
 #include "common/types.hpp"
 #include "random/hash_fn.hpp"
 
@@ -44,12 +45,11 @@ class DeamortizedHash {
   FindResult find(Key key) const;
 
   /// Host cache hint: starts loading the two cuckoo slots find(key) reads
-  /// first (both ends of each, as an entry may straddle two cache lines).
-  /// Reads no entry and does no accounted work; the slot indices are
+  /// first. Reads no entry and does no accounted work; the slot indices are
   /// masked to the table, so any key is safe.
   void prefetch(Key key) const {
-    prefetch_entry(&table1_[slot1(key)]);
-    prefetch_entry(&table2_[slot2(key)]);
+    prefetch_object(&table1_[slot1(key)]);
+    prefetch_object(&table2_[slot2(key)]);
   }
 
   EraseResult erase(Key key);
@@ -77,15 +77,6 @@ class DeamortizedHash {
     Key key;
     u64 value;
   };
-
-  static void prefetch_entry(const Entry* e) {
-    const char* p = reinterpret_cast<const char*>(e);
-    __builtin_prefetch(p);
-    __builtin_prefetch(p + sizeof(Entry) - 1);
-    // GCC counts a prefetch as no side effect and would delete calls to
-    // a function that only prefetches; an empty volatile asm keeps them.
-    asm volatile("" : : "r"(p));
-  }
 
   u64 slot1(Key key) const { return h1_(static_cast<u64>(key)) & (capacity_ - 1); }
   u64 slot2(Key key) const { return h2_(static_cast<u64>(key)) & (capacity_ - 1); }

@@ -34,7 +34,9 @@ class ModuleCtx;
 /// lambdas capturing the structure) and must outlive any machine round
 /// that can still deliver them. A Handler converts from any callable with
 /// the body's signature, so `Handler h = [](ModuleCtx&, auto) {...}` gives
-/// a handler without a hook.
+/// a handler without a hook; `h = {body, hook}` sets both at once. Assigning
+/// a bare callable replaces the whole handler, hook included, so a hooked
+/// handler is assigned with its hook where its body is defined.
 ///
 /// The hook exists for host speed only (DESIGN.md §5.9). Machine::run_round
 /// calls `prefetch(module, args)` once for every task the round will
@@ -53,6 +55,7 @@ struct Handler {
   template <typename F>
     requires(!std::is_same_v<std::remove_cvref_t<F>, Handler> && std::is_constructible_v<Body, F>)
   Handler(F&& f) : body(std::forward<F>(f)) {}
+  Handler(Body b, Prefetch p) : body(std::move(b)), prefetch(std::move(p)) {}
 
   void operator()(ModuleCtx& ctx, std::span<const u64> args) const { body(ctx, args); }
 
